@@ -2,8 +2,8 @@
 and experiment sweeps, and dump plot-ready diagnostics.
 
 Exit codes are stable: 0 success, 1 runtime/I-O failure, 2 usage error
-(unknown command or flag), 3 validation error (a flag value out of range or
-a malformed environment document).
+(unknown command or flag), 3 validation error (a flag value the config objects
+reject as out of range, or a malformed environment document).
 """
 
 from __future__ import annotations
@@ -65,70 +65,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_env(p):
-        p.add_argument(
-            "--env", required=True,
-            help=f"environment preset ({', '.join(PRESET_NAMES)}) or JSON file path",
-        )
+    # Flags shared across subcommands are declared once, in parent parsers.
+    env_flags = argparse.ArgumentParser(add_help=False)
+    env_flags.add_argument(
+        "--env", required=True,
+        help=f"environment preset ({', '.join(PRESET_NAMES)}) or JSON file path",
+    )
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--true-h", type=int, default=0, help="index of the true hypothesis")
+    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument("--b", type=float, default=DEFAULT_B, help="threshold slope")
+    run_flags.add_argument("--c", type=float, default=None,
+                           help="threshold offset (default log(K-1))")
+    run_flags.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument("--trials", type=int, default=1000)
+    sweep_flags.add_argument("--workers", type=int, default=1)
+    sweep_flags.add_argument("--out", required=True, help="output CSV path")
 
-    p_env = sub.add_parser("env", help="inspect an environment")
-    add_env(p_env)
+    sub.add_parser("env", parents=[env_flags], help="inspect an environment")
 
-    p_solve = sub.add_parser("solve-oracle", help="solve the max-min allocation")
-    add_env(p_solve)
+    p_solve = sub.add_parser("solve-oracle", parents=[env_flags],
+                             help="solve the max-min allocation")
     p_solve.add_argument("--h", type=int, required=True, help="candidate hypothesis index")
     p_solve.add_argument(
         "--opponents", type=_int_list, required=True,
         help="comma-separated opponent hypothesis indices",
     )
 
-    p_trial = sub.add_parser("trial", help="run a single seeded trial")
-    add_env(p_trial)
+    p_trial = sub.add_parser("trial", parents=[env_flags, run_flags],
+                             help="run a single seeded trial")
     p_trial.add_argument("--policy", required=True, choices=POLICY_KINDS)
     p_trial.add_argument("--delta", type=float, required=True, help="confidence level in (0,1)")
     p_trial.add_argument("--alpha", type=float, default=1.0, help="elimination aggressiveness in (0,1]")
-    p_trial.add_argument("--true-h", type=int, default=0, help="index of the true hypothesis")
-    p_trial.add_argument("--seed", type=int, default=0)
-    p_trial.add_argument("--b", type=float, default=DEFAULT_B, help="threshold slope")
-    p_trial.add_argument("--c", type=float, default=None, help="threshold offset (default log(K-1))")
-    p_trial.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
 
-    p_exp1 = sub.add_parser("exp1", help="confidence sweep: all policies over a delta grid")
-    add_env(p_exp1)
+    p_exp1 = sub.add_parser("exp1", parents=[env_flags, run_flags, sweep_flags],
+                            help="confidence sweep: all policies over a delta grid")
     p_exp1.add_argument("--deltas", type=_float_list, default=DELTA_GRID)
     p_exp1.add_argument("--policies", default=",".join(POLICY_KINDS),
                         help="comma-separated subset of " + ",".join(POLICY_KINDS))
-    p_exp1.add_argument("--trials", type=int, default=1000)
-    p_exp1.add_argument("--true-h", type=int, default=0)
-    p_exp1.add_argument("--seed", type=int, default=0)
-    p_exp1.add_argument("--workers", type=int, default=1)
-    p_exp1.add_argument("--b", type=float, default=DEFAULT_B)
-    p_exp1.add_argument("--c", type=float, default=None)
-    p_exp1.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
-    p_exp1.add_argument("--out", required=True, help="output CSV path")
 
-    p_exp2 = sub.add_parser("exp2", help="aggressiveness sweep at a fixed delta")
-    add_env(p_exp2)
+    p_exp2 = sub.add_parser("exp2", parents=[env_flags, run_flags, sweep_flags],
+                            help="aggressiveness sweep at a fixed delta")
     p_exp2.add_argument("--delta", type=float, default=0.1)
     p_exp2.add_argument("--alphas", type=_float_list, default=ALPHA_GRID)
-    p_exp2.add_argument("--trials", type=int, default=1000)
-    p_exp2.add_argument("--true-h", type=int, default=0)
-    p_exp2.add_argument("--seed", type=int, default=0)
-    p_exp2.add_argument("--workers", type=int, default=1)
-    p_exp2.add_argument("--b", type=float, default=DEFAULT_B)
-    p_exp2.add_argument("--c", type=float, default=None)
-    p_exp2.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
-    p_exp2.add_argument("--out", required=True, help="output CSV path")
 
-    p_diag = sub.add_parser("diagnose", help="record one trial's internal dynamics")
-    add_env(p_diag)
+    p_diag = sub.add_parser("diagnose", parents=[env_flags, run_flags],
+                            help="record one trial's internal dynamics")
     p_diag.add_argument("--delta", type=float, default=0.1)
     p_diag.add_argument("--alpha", type=float, default=1.0)
-    p_diag.add_argument("--true-h", type=int, default=0)
-    p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--b", type=float, default=DEFAULT_B)
-    p_diag.add_argument("--c", type=float, default=None)
-    p_diag.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
     p_diag.add_argument("--out", required=True, help="trace JSON path")
     p_diag.add_argument("--plot-dir", default=None,
                         help="also write the four plot-ready panel files here")
@@ -136,34 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_common(args) -> None:
-    for name, lo_open, hi, hi_open in (("delta", 0.0, 1.0, True), ("alpha", 0.0, 1.0, False)):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            bad = not (lo_open < value < hi) if hi_open else not (lo_open < value <= hi)
-            if bad:
-                raise ValueError(f"--{name} must lie in (0, 1{')' if hi_open else ']'}: got {value}")
-    if hasattr(args, "deltas") and any(not 0.0 < d < 1.0 for d in args.deltas):
-        raise ValueError(f"--deltas must lie in (0, 1): {args.deltas}")
-    if hasattr(args, "alphas") and any(not 0.0 < a <= 1.0 for a in args.alphas):
-        raise ValueError(f"--alphas must lie in (0, 1]: {args.alphas}")
-    for name in ("trials", "workers", "max_steps"):
-        if hasattr(args, name) and getattr(args, name) < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
-    if hasattr(args, "b") and args.b is not None and args.b <= 0:
-        raise ValueError(f"--b must be positive: got {args.b}")
-    if hasattr(args, "true_h") and args.true_h < 0:
-        raise ValueError(f"--true-h must be nonnegative: got {args.true_h}")
-
-
-def _write_manifest(out_path: str, command: str, config: dict) -> None:
+def _write_manifest(command: str, ecfg: ExperimentConfig, **extra) -> None:
     manifest = {
         "tool": "activeht",
         "version": __version__,
         "command": command,
-        "config": config,
+        "config": {**asdict(ecfg), "environment": str(ecfg.environment), **extra},
     }
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    Path(str(ecfg.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _cmd_env(args) -> int:
@@ -195,9 +160,9 @@ def _cmd_solve_oracle(args) -> int:
 
 
 def _cmd_trial(args) -> int:
-    env = load_environment(args.env)
     cfg = PolicyConfig(kind=args.policy, delta=args.delta, alpha=args.alpha,
                        b=args.b, c=args.c, max_steps=args.max_steps)
+    env = load_environment(args.env)
     result = run_trial(env, args.true_h, cfg, args.seed)
     doc = {
         "environment": env.name,
@@ -212,16 +177,17 @@ def _cmd_trial(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args, *, deltas=None, alphas=None, policies=None) -> ExperimentConfig:
+def _experiment_config(args, *, policies, deltas, alphas) -> ExperimentConfig:
+    """The config of a sweep; ``diagnose`` has no sweep flags and runs one trial."""
     return ExperimentConfig(
         environment=args.env,
         true_h=args.true_h,
-        policies=policies if policies is not None else POLICY_KINDS,
-        deltas=deltas if deltas is not None else DELTA_GRID,
-        alphas=alphas if alphas is not None else ALPHA_GRID,
-        trials=args.trials,
+        policies=policies,
+        deltas=deltas,
+        alphas=alphas,
+        trials=getattr(args, "trials", 1),
         base_seed=args.seed,
-        workers=args.workers,
+        workers=getattr(args, "workers", 1),
         out=args.out,
         b=args.b,
         c=args.c,
@@ -231,42 +197,33 @@ def _experiment_config(args, *, deltas=None, alphas=None, policies=None) -> Expe
 
 def _cmd_exp1(args) -> int:
     policies = tuple(p for p in args.policies.split(",") if p)
-    ecfg = _experiment_config(args, deltas=tuple(args.deltas), alphas=(1.0,), policies=policies)
+    ecfg = _experiment_config(args, policies=policies, deltas=tuple(args.deltas), alphas=(1.0,))
     rows = run_delta_sweep(ecfg)
-    _write_manifest(args.out, "exp1", _manifest_config(ecfg))
+    _write_manifest("exp1", ecfg)
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
 
 def _cmd_exp2(args) -> int:
-    ecfg = _experiment_config(args, deltas=(args.delta,), alphas=tuple(args.alphas),
-                              policies=("FullElim",))
+    ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
+                              alphas=tuple(args.alphas))
     rows = run_alpha_sweep(ecfg)
-    _write_manifest(args.out, "exp2", _manifest_config(ecfg))
+    _write_manifest("exp2", ecfg)
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    ecfg = ExperimentConfig(
-        environment=args.env, true_h=args.true_h, policies=("FullElim",),
-        deltas=(args.delta,), alphas=(args.alpha,), trials=1, base_seed=args.seed,
-        out=args.out, b=args.b, c=args.c, max_steps=args.max_steps,
-    )
+    ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
+                              alphas=(args.alpha,))
     trace = run_diagnostic_trial(ecfg, args.seed)
-    _write_manifest(args.out, "diagnose", {**_manifest_config(ecfg), "seed": args.seed})
+    _write_manifest("diagnose", ecfg, seed=args.seed)
     if args.plot_dir is not None:
         paths = emit_plot_data(trace, args.plot_dir)
         for p in paths:
             print(p)
     print(f"trace written to {args.out} ({len(trace.t)} rounds)")
     return EXIT_OK
-
-
-def _manifest_config(ecfg: ExperimentConfig) -> dict:
-    doc = asdict(ecfg)
-    doc["environment"] = str(doc["environment"])
-    return doc
 
 
 def emit_plot_data(trace, out_dir) -> list[Path]:
@@ -333,11 +290,6 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        _validate_common(args)
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

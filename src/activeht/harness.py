@@ -12,7 +12,10 @@ import hashlib
 import json
 import multiprocessing
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from math import nan, sqrt
 from pathlib import Path
 
@@ -35,7 +38,12 @@ CSV_HEADER = "environment,policy,delta,alpha,mean_tau,stderr_tau,error_rate,time
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; hashable and cheap to copy around workers."""
+    """Everything a sweep needs.
+
+    The per-trial rules (policy, delta, alpha, b, max_steps) live in
+    ``PolicyConfig``; construction checks them by building the config of
+    every (policy, delta, alpha) cell of the grids.
+    """
 
     environment: str | Environment
     true_h: int = 0
@@ -54,16 +62,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.deltas or not self.alphas or not self.policies:
-            raise ValueError("policy, delta, and alpha grids must be nonempty")
-        if any(not 0.0 < d < 1.0 for d in self.deltas):
-            raise ValueError(f"all deltas must lie in (0, 1): {self.deltas}")
-        if any(not 0.0 < a <= 1.0 for a in self.alphas):
-            raise ValueError(f"all alphas must lie in (0, 1]: {self.alphas}")
-        if any(p not in POLICY_KINDS for p in self.policies):
-            raise ValueError(f"unknown policy in {self.policies}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.deltas or not self.alphas or not self.policies:
+            raise ValueError("policy, delta, and alpha grids must be nonempty")
+        for kind, delta, alpha in product(self.policies, self.deltas, self.alphas):
+            self.policy_config(kind, delta, alpha)
+
+    def policy_config(self, kind: str, delta: float, alpha: float) -> PolicyConfig:
+        """The trial config of one (policy, delta, alpha) cell."""
+        return PolicyConfig(kind=kind, delta=delta, alpha=alpha, b=self.b, c=self.c,
+                            max_steps=self.max_steps)
 
 
 @dataclass(frozen=True)
@@ -149,61 +158,51 @@ def resolve_environment(source) -> Environment:
     return load_environment(source)
 
 
-# Per-process state for pool workers: the environment and the allocation
-# cache are built once per process, not once per trial.
-_WORKER_ENV: Environment | None = None
-_WORKER_CACHE: OracleCache | None = None
+# Per-process state: the environment and the allocation cache are built once
+# per sweep in each process that runs trials (the sweep's own when serial,
+# each pool worker's otherwise), not once per trial.  So one process runs one
+# sweep at a time.
+_PROCESS_ENV: Environment | None = None
+_PROCESS_CACHE: OracleCache | None = None
 
 
-def _pool_init(env: Environment) -> None:
-    global _WORKER_ENV, _WORKER_CACHE
-    _WORKER_ENV = env
-    _WORKER_CACHE = OracleCache(env)
+def _init_process(env: Environment) -> None:
+    global _PROCESS_ENV, _PROCESS_CACHE
+    _PROCESS_ENV = env
+    _PROCESS_CACHE = OracleCache(env)
 
 
-def _pool_run(args) -> tuple[int, int, bool, bool]:
-    kind, delta, alpha, b, c, max_steps, true_h, seed = args
-    cfg = PolicyConfig(kind=kind, delta=delta, alpha=alpha, b=b, c=c, max_steps=max_steps)
-    r = run_trial(_WORKER_ENV, true_h, cfg, seed, cache=_WORKER_CACHE)
-    return r.tau, r.recommendation, r.correct, r.timed_out
+def _run_chunk(job: tuple[PolicyConfig, int, list[int]]) -> list[TrialResult]:
+    """Run one chunk of a cell's seeds in the calling process."""
+    cfg, true_h, seeds = job
+    return [run_trial(_PROCESS_ENV, true_h, cfg, s, cache=_PROCESS_CACHE) for s in seeds]
 
 
-def _run_cell(env, cache, pool, ecfg: ExperimentConfig, kind: str, delta: float,
-              alpha: float) -> list[TrialResult]:
-    seeds = [
-        trial_seed(ecfg.base_seed, kind, delta, alpha, i, ecfg.paired_seeds)
-        for i in range(ecfg.trials)
-    ]
-    if pool is None:
-        cfg = PolicyConfig(kind=kind, delta=delta, alpha=alpha, b=ecfg.b, c=ecfg.c,
-                           max_steps=ecfg.max_steps)
-        return [run_trial(env, ecfg.true_h, cfg, s, cache=cache) for s in seeds]
-    args = [
-        (kind, delta, alpha, ecfg.b, ecfg.c, ecfg.max_steps, ecfg.true_h, s)
-        for s in seeds
-    ]
-    chunk = max(1, ecfg.trials // (ecfg.workers * 4))
-    outs = pool.map(_pool_run, args, chunksize=chunk)
-    return [
-        TrialResult(tau=t, recommendation=r, correct=c, timed_out=to)
-        for t, r, c, to in outs
-    ]
+@contextmanager
+def _chunk_map(env: Environment, workers: int):
+    """Yield a map of ``_run_chunk`` over jobs: in-process, or on a fork pool."""
+    if workers == 1:
+        _init_process(env)
+        yield map
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_init_process, initargs=(env,)) as pool:
+        yield partial(pool.map, chunksize=1)
 
 
 def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
     env = resolve_environment(ecfg.environment)
+    chunk = max(1, ecfg.trials // (ecfg.workers * 4))
     rows = []
-    if ecfg.workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(ecfg.workers, initializer=_pool_init, initargs=(env,)) as pool:
-            for kind, delta, alpha in cells:
-                results = _run_cell(env, None, pool, ecfg, kind, delta, alpha)
-                rows.append(aggregate(results, environment=env.name, policy=kind,
-                                      delta=delta, alpha=alpha))
-    else:
-        cache = OracleCache(env)
+    with _chunk_map(env, ecfg.workers) as chunk_map:
         for kind, delta, alpha in cells:
-            results = _run_cell(env, cache, None, ecfg, kind, delta, alpha)
+            cfg = ecfg.policy_config(kind, delta, alpha)
+            seeds = [
+                trial_seed(ecfg.base_seed, kind, delta, alpha, i, ecfg.paired_seeds)
+                for i in range(ecfg.trials)
+            ]
+            jobs = [(cfg, ecfg.true_h, seeds[i:i + chunk]) for i in range(0, len(seeds), chunk)]
+            results = [r for part in chunk_map(_run_chunk, jobs) for r in part]
             rows.append(aggregate(results, environment=env.name, policy=kind,
                                   delta=delta, alpha=alpha))
     rows.sort(key=lambda r: (r.policy, -r.delta, r.alpha))
@@ -235,8 +234,7 @@ def run_diagnostic_trial(ecfg: ExperimentConfig, seed: int) -> DiagnosticsTrace:
     env = resolve_environment(ecfg.environment)
     delta = ecfg.deltas[0]
     alpha = ecfg.alphas[0] if len(ecfg.alphas) == 1 else 1.0
-    cfg = PolicyConfig(kind="FullElim", delta=delta, alpha=alpha, b=ecfg.b, c=ecfg.c,
-                       max_steps=ecfg.max_steps)
+    cfg = ecfg.policy_config("FullElim", delta, alpha)
     result = run_trial(env, ecfg.true_h, cfg, seed, record_diagnostics=True)
     trace = result.diagnostics
     trace.meta["tau"] = result.tau

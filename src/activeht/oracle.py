@@ -319,12 +319,9 @@ class OracleCache:
             return hit
         maxd = self.env.max_divergence
         live = [g for g in S if maxd[h][g] > 0.0]
-        if len(live) == len(S):
+        if live or not S:  # oracle_allocation rejects an empty S
             sol = oracle_allocation(self.env, h, live)
-            value = (sol.allocation.weights, sol.rate)
-        elif live:
-            sol = oracle_allocation(self.env, h, live)
-            value = (sol.allocation.weights, 0.0)
+            value = (sol.allocation.weights, sol.rate if len(live) == len(S) else 0.0)
         else:
             n = self.env.num_actions
             value = (tuple(1.0 / n for _ in range(n)), 0.0)

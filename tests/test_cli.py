@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from activeht.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     dispatch,
     emit_plot_data,
 )
@@ -45,6 +47,108 @@ class TestExitCodes:
             "exp1", "--env", "skewed", "--trials", "1", "--deltas", "0.5",
             "--policies", "TaS", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == EXIT_RUNTIME
+
+
+# Every subcommand's flags: option -> (default, required, type name, choices).
+_ENV = {"--env": (None, True, None, None)}
+_RUN = {
+    "--true-h": (0, False, "int", None),
+    "--seed": (0, False, "int", None),
+    "--b": (0.8, False, "float", None),
+    "--c": (None, False, "float", None),
+    "--max-steps": (20000, False, "int", None),
+}
+_SWEEP = {
+    "--trials": (1000, False, "int", None),
+    "--workers": (1, False, "int", None),
+    "--out": (None, True, None, None),
+}
+CLI_SURFACE = {
+    "env": _ENV,
+    "solve-oracle": {
+        **_ENV,
+        "--h": (None, True, "int", None),
+        "--opponents": (None, True, "_int_list", None),
+    },
+    "trial": {
+        **_ENV, **_RUN,
+        "--policy": (None, True, None, ("Greedy", "TaS", "StopElim", "FullElim")),
+        "--delta": (None, True, "float", None),
+        "--alpha": (1.0, False, "float", None),
+    },
+    "exp1": {
+        **_ENV, **_RUN, **_SWEEP,
+        "--deltas": ((0.1, 0.05, 0.01, 0.005, 0.001), False, "_float_list", None),
+        "--policies": ("Greedy,TaS,StopElim,FullElim", False, None, None),
+    },
+    "exp2": {
+        **_ENV, **_RUN, **_SWEEP,
+        "--delta": (0.1, False, "float", None),
+        "--alphas": ((0.2, 0.4, 0.6, 0.8, 1.0), False, "_float_list", None),
+    },
+    "diagnose": {
+        **_ENV, **_RUN,
+        "--delta": (0.1, False, "float", None),
+        "--alpha": (1.0, False, "float", None),
+        "--out": (None, True, None, None),
+        "--plot-dir": (None, False, None, None),
+    },
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParserSurface:
+    def test_subcommands(self):
+        assert set(_subparsers()) == set(CLI_SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_flag_table(self, command):
+        actions = [a for a in _subparsers()[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert all(len(a.option_strings) == 1 for a in actions)
+        table = {
+            a.option_strings[0]: (
+                a.default, a.required, getattr(a.type, "__name__", None),
+                tuple(a.choices) if a.choices is not None else None,
+            )
+            for a in actions
+        }
+        assert table == CLI_SURFACE[command]
+
+
+class TestValidationRules:
+    """Each out-of-range value exits 3 and names the rejected field."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["trial", "--policy", "TaS", "--delta", "1.5"], "delta"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--alpha", "0"], "alpha"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--b", "0"], "slope b"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--max-steps", "0"], "max_steps"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--true-h", "-1"], "true hypothesis"),
+        (["exp1", "--trials", "0"], "trials"),
+        (["exp1", "--workers", "0"], "workers"),
+        (["exp1", "--deltas", "0.1,1.2"], "delta"),
+        (["exp1", "--max-steps", "0"], "max_steps"),
+        # raised by run_trial inside a pool worker and re-raised by pool.map
+        (["exp1", "--true-h", "-1", "--workers", "2", "--trials", "4", "--policies", "TaS"],
+         "true hypothesis"),
+        (["exp2", "--alphas", "0,1"], "alpha"),
+        (["exp2", "--delta", "0"], "delta"),
+        (["diagnose", "--alpha", "1.5"], "alpha"),
+        (["diagnose", "--max-steps", "0"], "max_steps"),
+    ])
+    def test_rejected(self, capsys, tmp_path, argv, field):
+        command, *flags = argv
+        out = ["--out", str(tmp_path / "out")] if command != "trial" else []
+        code, _, err = run_cli(capsys, [command, "--env", "skewed", *flags, *out])
+        assert code == EXIT_VALIDATION
+        assert field in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnv:

@@ -96,6 +96,8 @@ class TestConfigValidation:
         {"alphas": (0.0,)},
         {"policies": ("TaS", "Nope")},
         {"workers": 0},
+        {"b": 0},
+        {"max_steps": 0},
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
