@@ -8,7 +8,6 @@ and a seeded Monte Carlo harness for benchmarking them.
 from .model import (
     Environment,
     IdentifiabilityError,
-    KlTable,
     MalformedDocumentError,
     ModelError,
     PRESET_NAMES,
@@ -50,7 +49,6 @@ from .harness import (
     aggregate,
     run_alpha_sweep,
     run_delta_sweep,
-    run_diagnostic_trial,
     summary_to_csv,
     trial_seed,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "GridTooLargeError",
     "IdentifiabilityError",
-    "KlTable",
     "MalformedDocumentError",
     "ModelError",
     "OracleCache",
@@ -91,7 +88,6 @@ __all__ = [
     "preset_environment",
     "run_alpha_sweep",
     "run_delta_sweep",
-    "run_diagnostic_trial",
     "run_trial",
     "sample_observation",
     "summary_to_csv",

@@ -22,7 +22,6 @@ from .harness import (
     ExperimentConfig,
     run_alpha_sweep,
     run_delta_sweep,
-    run_diagnostic_trial,
     summary_to_csv,
 )
 from .model import ModelError, PRESET_NAMES, load_environment
@@ -121,14 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(command: str, ecfg: ExperimentConfig, **extra) -> None:
-    manifest = {
-        "tool": "activeht",
-        "version": __version__,
-        "command": command,
-        "config": {**asdict(ecfg), "environment": str(ecfg.environment), **extra},
-    }
-    Path(str(ecfg.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+def _write_manifest(command: str, out: str, config: dict) -> None:
+    manifest = {"tool": "activeht", "version": __version__, "command": command, "config": config}
+    Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _cmd_env(args) -> int:
@@ -159,9 +153,13 @@ def _cmd_solve_oracle(args) -> int:
     return EXIT_OK
 
 
+def _policy_config(args, kind: str) -> PolicyConfig:
+    return PolicyConfig(kind=kind, delta=args.delta, alpha=args.alpha,
+                        b=args.b, c=args.c, max_steps=args.max_steps)
+
+
 def _cmd_trial(args) -> int:
-    cfg = PolicyConfig(kind=args.policy, delta=args.delta, alpha=args.alpha,
-                       b=args.b, c=args.c, max_steps=args.max_steps)
+    cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     result = run_trial(env, args.true_h, cfg, args.seed)
     doc = {
@@ -178,16 +176,15 @@ def _cmd_trial(args) -> int:
 
 
 def _experiment_config(args, *, policies, deltas, alphas) -> ExperimentConfig:
-    """The config of a sweep; ``diagnose`` has no sweep flags and runs one trial."""
     return ExperimentConfig(
         environment=args.env,
         true_h=args.true_h,
         policies=policies,
         deltas=deltas,
         alphas=alphas,
-        trials=getattr(args, "trials", 1),
+        trials=args.trials,
         base_seed=args.seed,
-        workers=getattr(args, "workers", 1),
+        workers=args.workers,
         out=args.out,
         b=args.b,
         c=args.c,
@@ -199,7 +196,7 @@ def _cmd_exp1(args) -> int:
     policies = tuple(p for p in args.policies.split(",") if p)
     ecfg = _experiment_config(args, policies=policies, deltas=tuple(args.deltas), alphas=(1.0,))
     rows = run_delta_sweep(ecfg)
-    _write_manifest("exp1", ecfg)
+    _write_manifest("exp1", ecfg.out, {**asdict(ecfg), "environment": str(ecfg.environment)})
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
@@ -208,16 +205,18 @@ def _cmd_exp2(args) -> int:
     ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
                               alphas=tuple(args.alphas))
     rows = run_alpha_sweep(ecfg)
-    _write_manifest("exp2", ecfg)
+    _write_manifest("exp2", ecfg.out, {**asdict(ecfg), "environment": str(ecfg.environment)})
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
-                              alphas=(args.alpha,))
-    trace = run_diagnostic_trial(ecfg, args.seed)
-    _write_manifest("diagnose", ecfg, seed=args.seed)
+    cfg = _policy_config(args, "FullElim")
+    env = load_environment(args.env)
+    trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
+    Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
+    _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,
+                                           "seed": args.seed, "out": args.out, **asdict(cfg)})
     if args.plot_dir is not None:
         paths = emit_plot_data(trace, args.plot_dir)
         for p in paths:

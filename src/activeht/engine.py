@@ -237,6 +237,8 @@ class TrialResult:
 class DiagnosticsTrace:
     """Per-round internals of a recorded trial, one list entry per step.
 
+    ``meta`` holds the trial's settings and, once it ends, its outcome
+    (``tau``, ``recommendation``, ``correct``, ``timed_out``).
     ``active_set`` is the champion's surviving opponent set after the
     round's eliminations; ``min_z`` is the smallest champion-vs-survivor
     ratio before them.  ``oracle_rate``/``empirical_rate`` are the max-min
@@ -258,9 +260,6 @@ class DiagnosticsTrace:
     empirical_rate: list[float | None] = field(default_factory=list)
     events: list[list[int]] = field(default_factory=list)
 
-    def elimination_times(self) -> list[int]:
-        return [step for step, removed in zip(self.t, self.events) if removed]
-
     def to_document(self) -> dict:
         doc = {
             "meta": self.meta,
@@ -277,23 +276,6 @@ class DiagnosticsTrace:
             "events": self.events,
         }
         return doc
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "DiagnosticsTrace":
-        return cls(
-            meta=doc.get("meta", {}),
-            t=list(doc["t"]),
-            champion=list(doc["champion"]),
-            active_set=[list(s) for s in doc["active_set"]],
-            alloc=[list(a) for a in doc["alloc"]],
-            counts=[list(c) for c in doc.get("counts", [])],
-            target_avg=[list(u) for u in doc.get("target_avg", [])],
-            min_z=list(doc["min_Z"]),
-            beta_elim=list(doc["beta_elim"]),
-            oracle_rate=list(doc["oracle_rate"]),
-            empirical_rate=list(doc["empirical_rate"]),
-            events=[list(e) for e in doc["events"]],
-        )
 
 
 def run_trial(
@@ -329,7 +311,6 @@ def run_trial(
     full_opponents = [tuple(g for g in range(k) if g != i) for i in range(k)]
 
     trace = None
-    d_table = None
     if record_diagnostics:
         trace = DiagnosticsTrace(
             meta={
@@ -343,7 +324,6 @@ def run_trial(
                 "seed": int(seed),
             }
         )
-        d_table = env.kl_table.values
 
     buf = rng.standard_normal(_RNG_BLOCK)
     buf_i = 0
@@ -372,7 +352,6 @@ def run_trial(
         level = state.loglik[ch]
 
         if eliminating:
-            pre_set = sorted(state.active[ch]) if record_diagnostics else None
             removed = eliminate(state, cfg)
             stopped = not state.active[ch]
         else:
@@ -380,34 +359,35 @@ def run_trial(
             min_z = min(level - state.loglik[g] for g in full_opponents[ch])
             removed = set()
             stopped = min_z >= beta_stop
-            pre_set = list(full_opponents[ch]) if record_diagnostics else None
 
         if record_diagnostics:
-            _record_round(trace, state, env, cfg, cache, d_table, pre_set, removed)
+            _record_round(trace, state, env, cfg, cache, full_opponents[ch], removed)
 
-        if stopped:
-            return TrialResult(
+        if stopped or t >= cfg.max_steps:
+            result = TrialResult(
                 tau=t,
                 recommendation=ch,
                 correct=ch == true_h,
-                timed_out=False,
+                timed_out=not stopped,
                 diagnostics=trace,
             )
-        if t >= cfg.max_steps:
-            return TrialResult(
-                tau=cfg.max_steps,
-                recommendation=ch,
-                correct=ch == true_h,
-                timed_out=True,
-                diagnostics=trace,
-            )
+            if record_diagnostics:
+                trace.meta.update(tau=result.tau, recommendation=result.recommendation,
+                                  correct=result.correct, timed_out=result.timed_out)
+            return result
 
 
-def _record_round(trace, state, env, cfg, cache, d_table, pre_set, removed):
+def _record_round(trace, state, env, cfg, cache, full_opponents, removed):
+    """Append one round; ``min_z`` is taken over the set the stop rule saw,
+    the survivors plus this round's removals (or every opponent)."""
     t = state.t
     ch = state.champion
     level = state.loglik[ch]
-    survivors = sorted(state.active[ch]) if cfg.kind in ("StopElim", "FullElim") else pre_set
+    if cfg.kind in ("StopElim", "FullElim"):
+        survivors = sorted(state.active[ch])
+        pre_set = state.active[ch] | removed
+    else:
+        survivors = pre_set = full_opponents
     _, beta_elim = thresholds(t, cfg)
     trace.t.append(t)
     trace.champion.append(ch)
@@ -421,7 +401,7 @@ def _record_round(trace, state, env, cfg, cache, d_table, pre_set, removed):
     trace.events.append(sorted(removed))
     if survivors:
         _, rate = cache.target(ch, survivors)
-        emp = min(float(np.dot(alloc, d_table[:, ch, g])) for g in survivors)
+        emp = min(float(np.dot(alloc, env.kl_table[:, ch, g])) for g in survivors)
         trace.oracle_rate.append(rate)
         trace.empirical_rate.append(emp)
     else:

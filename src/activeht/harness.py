@@ -9,7 +9,6 @@ identical no matter how many workers execute them.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import struct
 from contextlib import contextmanager
@@ -21,7 +20,6 @@ from pathlib import Path
 
 from .engine import (
     DEFAULT_B,
-    DiagnosticsTrace,
     POLICY_KINDS,
     PolicyConfig,
     TrialResult,
@@ -42,7 +40,8 @@ class ExperimentConfig:
 
     The per-trial rules (policy, delta, alpha, b, max_steps) live in
     ``PolicyConfig``; construction checks them by building the config of
-    every (policy, delta, alpha) cell of the grids.
+    every (policy, delta, alpha) cell of the grids.  Each grid entry is a
+    cell coordinate, so no grid may repeat an entry.
     """
 
     environment: str | Environment
@@ -57,7 +56,6 @@ class ExperimentConfig:
     b: float = DEFAULT_B
     c: float | None = None
     max_steps: int = 1_000_000
-    paired_seeds: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -66,6 +64,10 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if not self.deltas or not self.alphas or not self.policies:
             raise ValueError("policy, delta, and alpha grids must be nonempty")
+        for name in ("policies", "deltas", "alphas"):
+            grid = getattr(self, name)
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} grid repeats an entry: {grid}")
         for kind, delta, alpha in product(self.policies, self.deltas, self.alphas):
             self.policy_config(kind, delta, alpha)
 
@@ -111,11 +113,9 @@ class SummaryRow:
         return (self.mean_tau * self.completed + self.timeouts * max_steps) / self.trials
 
 
-def trial_seed(base_seed: int, policy: str, delta: float, alpha: float, index: int,
-               paired: bool = False) -> int:
-    """Stable per-trial seed; with ``paired=True`` policies share streams."""
-    tag = b"" if paired else policy.encode()
-    payload = struct.pack("<ddq", float(delta), float(alpha), int(index)) + tag
+def trial_seed(base_seed: int, policy: str, delta: float, alpha: float, index: int) -> int:
+    """Stable per-trial seed of one (policy, delta, alpha) cell."""
+    payload = struct.pack("<ddq", float(delta), float(alpha), int(index)) + policy.encode()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return (int(base_seed) ^ int.from_bytes(digest, "little")) & ((1 << 63) - 1)
 
@@ -197,10 +197,7 @@ def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
     with _chunk_map(env, ecfg.workers) as chunk_map:
         for kind, delta, alpha in cells:
             cfg = ecfg.policy_config(kind, delta, alpha)
-            seeds = [
-                trial_seed(ecfg.base_seed, kind, delta, alpha, i, ecfg.paired_seeds)
-                for i in range(ecfg.trials)
-            ]
+            seeds = [trial_seed(ecfg.base_seed, kind, delta, alpha, i) for i in range(ecfg.trials)]
             jobs = [(cfg, ecfg.true_h, seeds[i:i + chunk]) for i in range(0, len(seeds), chunk)]
             results = [r for part in chunk_map(_run_chunk, jobs) for r in part]
             rows.append(aggregate(results, environment=env.name, policy=kind,
@@ -227,23 +224,6 @@ def run_alpha_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     delta = ecfg.deltas[0]
     cells = [("FullElim", delta, alpha) for alpha in ecfg.alphas]
     return _sweep(ecfg, cells)
-
-
-def run_diagnostic_trial(ecfg: ExperimentConfig, seed: int) -> DiagnosticsTrace:
-    """Record the full per-round internals of one elimination-aware trial."""
-    env = resolve_environment(ecfg.environment)
-    delta = ecfg.deltas[0]
-    alpha = ecfg.alphas[0] if len(ecfg.alphas) == 1 else 1.0
-    cfg = ecfg.policy_config("FullElim", delta, alpha)
-    result = run_trial(env, ecfg.true_h, cfg, seed, record_diagnostics=True)
-    trace = result.diagnostics
-    trace.meta["tau"] = result.tau
-    trace.meta["recommendation"] = result.recommendation
-    trace.meta["correct"] = result.correct
-    trace.meta["timed_out"] = result.timed_out
-    if ecfg.out:
-        Path(ecfg.out).write_text(json.dumps(trace.to_document()) + "\n")
-    return trace
 
 
 def summary_to_csv(rows) -> str:

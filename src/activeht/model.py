@@ -69,25 +69,26 @@ class Environment:
         return arr
 
     @cached_property
-    def kl_table(self) -> "KlTable":
-        """Precomputed d_a(h, g) for all triples; built once per environment."""
+    def kl_table(self) -> np.ndarray:
+        """Read-only divergence tensor: ``[a, h, g]`` holds d_a(h, g) in nats
+        per draw.  Built once per environment."""
         mu = self.means_array
         gaps = mu[:, :, None] - mu[:, None, :]
         values = gaps**2 / (2.0 * self.sigma**2)
         values.setflags(write=False)
-        return KlTable(values=values)
+        return values
 
     @cached_property
     def max_divergence(self) -> np.ndarray:
         """max over actions of d_a(h, g); zero entries mark indistinct pairs."""
-        out = self.kl_table.values.max(axis=0)
+        out = self.kl_table.max(axis=0)
         out.setflags(write=False)
         return out
 
     @cached_property
     def best_action(self) -> np.ndarray:
         """argmax over actions of d_a(h, g), lowest action index on ties."""
-        out = self.kl_table.values.argmax(axis=0)
+        out = self.kl_table.argmax(axis=0)
         out.setflags(write=False)
         return out
 
@@ -96,13 +97,6 @@ class Environment:
         maxd = self.max_divergence
         k = self.num_hypotheses
         return [(h, g) for h in range(k) for g in range(h + 1, k) if maxd[h][g] == 0.0]
-
-
-@dataclass(frozen=True)
-class KlTable:
-    """Action-wise divergence tensor, ``values[a][h][g]`` in nats per draw."""
-
-    values: np.ndarray
 
 
 def kl(env: Environment, a: int, h: int, g: int) -> float:

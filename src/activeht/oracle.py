@@ -76,7 +76,7 @@ def worst_case_rate(env: Environment, h: int, S, w) -> float:
         raise OracleError(
             f"allocation has {len(weights)} weights for {env.num_actions} actions"
         )
-    d = env.kl_table.values
+    d = env.kl_table
     return min(float(np.dot(weights, d[:, h, g])) for g in opponents)
 
 
@@ -100,7 +100,7 @@ def oracle_allocation(env: Environment, h: int, S) -> OracleSolution:
 
 def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float, ...]:
     num_actions = env.num_actions
-    d = env.kl_table.values
+    d = env.kl_table
     if num_actions == 1:
         return (1.0,)
     if len(opponents) == 1:
@@ -271,7 +271,7 @@ def grid_oracle(env: Environment, h: int, S, step: float) -> OracleSolution:
         raise OracleError(f"step must lie in (0, 0.5], got {step}")
     n = max(1, round(1.0 / step))
     grid = _simplex_grid(env.num_actions, n)
-    d = env.kl_table.values
+    d = env.kl_table
     rows = np.column_stack([d[:, h, g] for g in opponents])
     rates = (grid @ rows).min(axis=1)
     best = int(np.argmax(rates))

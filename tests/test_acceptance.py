@@ -250,7 +250,7 @@ def test_criterion_7_delta_monotonicity(mc):
 
 def test_criterion_8_diagnostics_staircase(skewed, caches):
     cfg = PolicyConfig(kind="FullElim", delta=0.1, max_steps=100_000)
-    divergences = skewed.kl_table.values
+    divergences = skewed.kl_table
     c_track = 2 * skewed.num_actions**2
     stair_bad = jump_bad = envelope_bad = 0
     for i in range(20):

@@ -141,6 +141,8 @@ class TestValidationRules:
         (["exp2", "--delta", "0"], "delta"),
         (["diagnose", "--alpha", "1.5"], "alpha"),
         (["diagnose", "--max-steps", "0"], "max_steps"),
+        (["exp1", "--policies", "TaS,TaS"], "policies"),
+        (["exp2", "--alphas", "0.5,0.5"], "alphas"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv
@@ -236,22 +238,56 @@ class TestDiagnose:
             "diagnose", "--env", "skewed", "--delta", "0.1", "--seed",
             str(BASE_SEED), "--out", str(out_path), "--plot-dir", str(plots)])
         assert code == EXIT_OK
-        doc = json.loads(out_path.read_text())
-        trace = DiagnosticsTrace.from_document(doc)
+        trace = json.loads(out_path.read_text())
         for name in ("active_set.csv", "allocation.csv", "evidence.csv", "rates.csv"):
             assert (plots / name).exists()
         event_rows = (plots / "active_set.csv").read_text().strip().splitlines()[1:]
-        assert len(event_rows) == len([e for e in trace.events if e])
+        assert len(event_rows) == len([e for e in trace["events"] if e])
         rate_rows = (plots / "rates.csv").read_text().strip().splitlines()[1:]
-        assert len(rate_rows) == len([r for r in trace.oracle_rate if r is not None])
+        assert len(rate_rows) == len([r for r in trace["oracle_rate"] if r is not None])
         # the recomputed oracle-rate column is a monotone staircase per champion run
         by_t = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rate_rows}
-        for j in range(1, len(trace.t)):
-            if trace.champion[j] != trace.champion[j - 1]:
+        for j in range(1, len(trace["t"])):
+            if trace["champion"][j] != trace["champion"][j - 1]:
                 continue
-            t_prev, t_cur = trace.t[j - 1], trace.t[j]
+            t_prev, t_cur = trace["t"][j - 1], trace["t"][j]
             if t_prev in by_t and t_cur in by_t:
                 assert by_t[t_cur] >= by_t[t_prev] - 1e-12
+
+    def test_matches_fullelim_trial(self, capsys, tmp_path):
+        flags = ["--env", "hard-weak", "--delta", "0.05", "--seed", "13"]
+        code, out, _ = run_cli(capsys, ["trial", "--policy", "FullElim", *flags])
+        assert code == EXIT_OK
+        trial = json.loads(out)
+        out_path = tmp_path / "trace.json"
+        assert run_cli(capsys, ["diagnose", *flags, "--out", str(out_path)])[0] == EXIT_OK
+        meta = json.loads(out_path.read_text())["meta"]
+        for key in ("tau", "recommendation", "correct", "timed_out"):
+            assert meta[key] == trial[key]
+
+    def test_capped_trace(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        code, _, _ = run_cli(capsys, ["diagnose", "--env", "skewed", "--max-steps", "5",
+                                      "--out", str(out_path)])
+        assert code == EXIT_OK
+        trace = json.loads(out_path.read_text())
+        assert trace["meta"]["timed_out"] is True
+        assert trace["meta"]["tau"] == 5
+        assert trace["t"] == [1, 2, 3, 4, 5]
+        assert trace["oracle_rate"][-1] is not None
+
+    def test_manifest_holds_the_trial_config(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        code, _, _ = run_cli(capsys, ["diagnose", "--env", "skewed", "--seed", "7",
+                                      "--out", str(out_path)])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
+        assert manifest["command"] == "diagnose"
+        assert manifest["config"] == {
+            "environment": "skewed", "true_h": 0, "seed": 7, "out": str(out_path),
+            "kind": "FullElim", "delta": 0.1, "alpha": 1.0, "b": 0.8, "c": None,
+            "max_steps": 20000,
+        }
 
     def test_empty_trace_is_usage_error_and_writes_nothing(self, tmp_path):
         from activeht.cli import UsageError

@@ -4,12 +4,13 @@ import pytest
 
 from activeht import (
     ExperimentConfig,
+    PolicyConfig,
     SummaryRow,
     TrialResult,
     aggregate,
     run_alpha_sweep,
     run_delta_sweep,
-    run_diagnostic_trial,
+    run_trial,
     summary_to_csv,
     trial_seed,
 )
@@ -80,11 +81,6 @@ class TestSeeding:
         assert s != trial_seed(7, "TaS", 0.1, 1.0, 4)
         assert 0 <= s < 2**63
 
-    def test_paired_seeds_ignore_policy(self):
-        a = trial_seed(7, "TaS", 0.1, 1.0, 3, paired=True)
-        b = trial_seed(7, "Greedy", 0.1, 1.0, 3, paired=True)
-        assert a == b
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -98,6 +94,9 @@ class TestConfigValidation:
         {"workers": 0},
         {"b": 0},
         {"max_steps": 0},
+        {"policies": ("TaS", "TaS")},
+        {"deltas": (0.1, 0.1)},
+        {"alphas": (0.5, 0.5)},
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -179,30 +178,31 @@ class TestSweeps:
         assert csvs[0] == csvs[1] == csvs[2]
 
 
+def _recorded_trial(env, seed):
+    cfg = PolicyConfig(kind="FullElim", delta=0.1)
+    return run_trial(env, 0, cfg, seed, record_diagnostics=True)
+
+
 class TestDiagnosticTrial:
-    def test_trace_persisted_and_rereadable(self, tmp_path):
+    def test_trace_persisted_and_rereadable(self, skewed, tmp_path):
         import json
 
-        from activeht import DiagnosticsTrace
-
         out = tmp_path / "trace.json"
-        ecfg = ExperimentConfig(environment="skewed", deltas=(0.1,), alphas=(1.0,),
-                                trials=1, out=str(out))
-        trace = run_diagnostic_trial(ecfg, seed=BASE_SEED)
+        result = _recorded_trial(skewed, BASE_SEED)
+        trace = result.diagnostics
+        out.write_text(json.dumps(trace.to_document()) + "\n")
         assert trace.meta["policy"] == "FullElim"
-        assert trace.meta["tau"] == trace.t[-1]
+        assert trace.meta["tau"] == trace.t[-1] == result.tau
         doc = json.loads(out.read_text())
         for key in ("t", "active_set", "alloc", "min_Z", "beta_elim",
                     "oracle_rate", "empirical_rate", "events"):
             assert key in doc
-        round_trip = DiagnosticsTrace.from_document(doc)
-        assert round_trip.t == trace.t
-        assert round_trip.min_z == trace.min_z
-        assert round_trip.events == trace.events
+        assert doc["t"] == trace.t
+        assert doc["min_Z"] == trace.min_z
+        assert doc["events"] == trace.events
 
-    def test_trace_stops_at_last_crossing(self):
-        ecfg = ExperimentConfig(environment="skewed", deltas=(0.1,), alphas=(1.0,), trials=1)
-        trace = run_diagnostic_trial(ecfg, seed=BASE_SEED + 1)
+    def test_trace_stops_at_last_crossing(self, skewed):
+        trace = _recorded_trial(skewed, BASE_SEED + 1).diagnostics
         assert trace.active_set[-1] == []
         assert trace.min_z[-1] >= trace.beta_elim[-1]
         assert trace.oracle_rate[-1] is None

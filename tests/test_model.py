@@ -115,7 +115,7 @@ def test_kl_table_invariants(skewed, hard_weak, degenerate):
         envs.append(Environment(name="r", means=tuple(map(tuple, means)),
                                 sigma=float(rng.uniform(0.5, 2.0))))
     for env in envs:
-        table = env.kl_table.values
+        table = env.kl_table
         assert table.shape == (env.num_actions, env.num_hypotheses, env.num_hypotheses)
         assert (table >= 0).all()
         for a in range(env.num_actions):

@@ -54,7 +54,7 @@ class TestWorstCaseRate:
     def test_unit_mass_reduces_to_divergence_row_minimum(self, skewed):
         for a in range(skewed.num_actions):
             w = tuple(1.0 if i == a else 0.0 for i in range(skewed.num_actions))
-            expected = min(float(skewed.kl_table.values[a, 0, g]) for g in (1, 2, 3, 4))
+            expected = min(float(skewed.kl_table[a, 0, g]) for g in (1, 2, 3, 4))
             assert worst_case_rate(skewed, 0, (1, 2, 3, 4), w) == pytest.approx(expected)
 
     def test_cross_instance_midpoint(self):
