@@ -177,7 +177,7 @@ def _cmd_trial(args) -> int:
 
 def _experiment_config(args, *, policies, deltas, alphas) -> ExperimentConfig:
     return ExperimentConfig(
-        environment=args.env,
+        environment=load_environment(args.env),
         true_h=args.true_h,
         policies=policies,
         deltas=deltas,
@@ -192,11 +192,16 @@ def _experiment_config(args, *, policies, deltas, alphas) -> ExperimentConfig:
     )
 
 
+def _write_sweep_manifest(command: str, args, ecfg: ExperimentConfig) -> None:
+    _write_manifest(command, ecfg.out, {**asdict(ecfg), "environment": args.env,
+                                        "environment_sha256": ecfg.environment.sha256()})
+
+
 def _cmd_exp1(args) -> int:
     policies = tuple(p for p in args.policies.split(",") if p)
     ecfg = _experiment_config(args, policies=policies, deltas=tuple(args.deltas), alphas=(1.0,))
     rows = run_delta_sweep(ecfg)
-    _write_manifest("exp1", ecfg.out, {**asdict(ecfg), "environment": str(ecfg.environment)})
+    _write_sweep_manifest("exp1", args, ecfg)
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
@@ -205,7 +210,7 @@ def _cmd_exp2(args) -> int:
     ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
                               alphas=tuple(args.alphas))
     rows = run_alpha_sweep(ecfg)
-    _write_manifest("exp2", ecfg.out, {**asdict(ecfg), "environment": str(ecfg.environment)})
+    _write_sweep_manifest("exp2", args, ecfg)
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 

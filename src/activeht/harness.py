@@ -180,12 +180,18 @@ def _run_chunk(job: tuple[PolicyConfig, int, list[int]]) -> list[TrialResult]:
 
 @contextmanager
 def _chunk_map(env: Environment, workers: int):
-    """Yield a map of ``_run_chunk`` over jobs: in-process, or on a fork pool."""
+    """Yield a map of ``_run_chunk`` over jobs: in-process, or on a pool.
+
+    The pool forks where the platform can, so workers start without
+    re-importing the package; elsewhere it uses the platform default, the
+    first method ``get_all_start_methods`` lists.
+    """
     if workers == 1:
         _init_process(env)
         yield map
         return
-    ctx = multiprocessing.get_context("fork")
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     with ctx.Pool(workers, initializer=_init_process, initargs=(env,)) as pool:
         yield partial(pool.map, chunksize=1)
 

@@ -9,6 +9,7 @@ pairwise divergences, allocation oracles) is determined by this matrix.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +92,16 @@ class Environment:
         out = self.kl_table.argmax(axis=0)
         out.setflags(write=False)
         return out
+
+    def sha256(self) -> str:
+        """Hex SHA-256 of the name, means and sigma.
+
+        Identifies the exact instance a run used, also when it came from a
+        file that changes later.
+        """
+        doc = {"name": self.name, "sigma": float(self.sigma),
+               "means": [[float(x) for x in row] for row in self.means]}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
     def indistinguishable_pairs(self) -> list[tuple[int, int]]:
         """Hypothesis pairs (h < g) with zero divergence under every action."""

@@ -117,10 +117,9 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     n_var = num_actions + 1 + n_opp
     a_eq = np.zeros((n_opp + 1, n_var))
     b_eq = np.zeros(n_opp + 1)
-    for i, g in enumerate(opponents):
-        a_eq[i, :num_actions] = d[:, h, g]
-        a_eq[i, num_actions] = -1.0
-        a_eq[i, num_actions + 1 + i] = -1.0
+    a_eq[:n_opp, :num_actions] = d[:, h, opponents].T
+    a_eq[:n_opp, num_actions] = -1.0
+    a_eq[:n_opp, num_actions + 1:] = -np.eye(n_opp)
     a_eq[n_opp, :num_actions] = 1.0
     b_eq[n_opp] = 1.0
     cost = np.zeros(n_var)
@@ -159,12 +158,10 @@ def _simplex_min(cost, a_eq, b_eq, max_iter: int = 10_000) -> np.ndarray:
         if basis[i] < n:
             keep.append(i)
             continue
-        pivot_col = next(
-            (j for j in range(n) if abs(tab[i, j]) > PIVOT_TOL), None
-        )
-        if pivot_col is None:
+        cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
+        if not cols.size:
             continue
-        _pivot(tab, rhs, basis, i, pivot_col)
+        _pivot(tab, rhs, basis, i, int(cols[0]))
         keep.append(i)
     if len(keep) < m:
         tab = tab[keep]
@@ -187,40 +184,38 @@ def _simplex_min(cost, a_eq, b_eq, max_iter: int = 10_000) -> np.ndarray:
 def _bland_iterate(tab, rhs, basis, cost, allowed_cols, max_iter):
     for _ in range(max_iter):
         reduced = cost[:allowed_cols] - cost[basis] @ tab[:, :allowed_cols]
-        entering = -1
-        for j in range(allowed_cols):
-            if reduced[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = (reduced < -PIVOT_TOL).nonzero()[0]
+        if not improving.size:
             return
+        entering = int(improving[0])
         col = tab[:, entering]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
+            raise OracleError("max-min program reported unbounded (solver bug)")
+        # Bland's tie rule runs in row order with a drifting best_ratio, so
+        # an argmin over the ratios could pick a different leaving row.
         leaving = -1
         best_ratio = np.inf
-        for i in range(len(basis)):
-            if col[i] <= PIVOT_TOL:
-                continue
-            ratio = rhs[i] / col[i]
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
             if leaving < 0 or ratio < best_ratio - PIVOT_TOL:
                 best_ratio = ratio
                 leaving = i
             elif abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving]:
                 best_ratio = min(best_ratio, ratio)
                 leaving = i
-        if leaving < 0:
-            raise OracleError("max-min program reported unbounded (solver bug)")
         _pivot(tab, rhs, basis, leaving, entering)
     raise OracleError("simplex failed to converge")
 
 
 def _pivot(tab, rhs, basis, row, col):
+    """Gauss-Jordan pivot on (row, col) as one rank-1 update."""
     piv = tab[row, col]
     tab[row] /= piv
     rhs[row] /= piv
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            rhs[i] -= tab[i, col] * rhs[row]
-            tab[i] -= tab[i, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    rhs -= factor * rhs[row]
+    tab -= factor[:, None] * tab[row]
     basis[row] = col
 
 

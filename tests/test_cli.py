@@ -12,7 +12,7 @@ from activeht.cli import (
     dispatch,
     emit_plot_data,
 )
-from activeht import DiagnosticsTrace
+from activeht import DiagnosticsTrace, load_environment
 
 from conftest import BASE_SEED
 
@@ -207,6 +207,8 @@ class TestExperiments:
         assert manifest["command"] == "exp1"
         assert manifest["config"]["base_seed"] == 7
         assert manifest["config"]["trials"] == 1
+        assert manifest["config"]["environment"] == "skewed"
+        assert manifest["config"]["environment_sha256"] == load_environment("skewed").sha256()
 
     def test_exp1_rerun_is_byte_identical(self, capsys, tmp_path):
         argv = ["exp1", "--env", "skewed", "--trials", "4", "--deltas", "0.4,0.2",
@@ -228,6 +230,23 @@ class TestExperiments:
         alphas = [float(line.split(",")[3]) for line in lines[1:]]
         assert alphas == [0.2, 0.4, 0.6, 0.8, 1.0]
         assert all(line.split(",")[1] == "FullElim" for line in lines[1:])
+
+    def test_manifest_pins_a_json_file_environment(self, capsys, tmp_path):
+        env_path = tmp_path / "env.json"
+        out_path = tmp_path / "exp2.csv"
+        argv = ["exp2", "--env", str(env_path), "--delta", "0.2", "--alphas", "1.0",
+                "--trials", "1", "--out", str(out_path)]
+        digests = []
+        for sigma in (1.0, 0.5):
+            env_path.write_text(json.dumps(
+                {"name": "file", "means": [[0, 1, 2], [2, 0, 1]], "sigma": sigma}))
+            assert run_cli(capsys, argv)[0] == EXIT_OK
+            config = json.loads((tmp_path / "exp2.csv.manifest.json").read_text())["config"]
+            assert config["environment"] == str(env_path)
+            digests.append(config["environment_sha256"])
+        # The path is the same for both runs; only the digest tells them apart.
+        assert digests[0] != digests[1]
+        assert digests[1] == load_environment(str(env_path)).sha256()
 
 
 class TestDiagnose:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import pytest
 
@@ -176,6 +177,20 @@ class TestSweeps:
                 trials=12, base_seed=BASE_SEED, workers=workers, out=str(out)))
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_spawn_pool_matches_serial(self, monkeypatch):
+        # A platform without fork: the pool falls back to the first listed
+        # method, and spawned workers rebuild their state from initargs.
+        used = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: used.append(method) or get_context(method))
+        rows = [run_delta_sweep(ExperimentConfig(
+            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
+            trials=8, base_seed=BASE_SEED, workers=workers)) for workers in (1, 2)]
+        assert used == ["spawn"]
+        assert rows[0] == rows[1]
 
 
 def _recorded_trial(env, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from activeht import (
     oracle_allocation,
     worst_case_rate,
 )
+from activeht.oracle import RATE_TOL
 
 from conftest import BASE_SEED
 
@@ -126,6 +128,43 @@ class TestOracleAllocation:
         a = oracle_allocation(skewed, 2, [0, 1, 3, 4])
         b = oracle_allocation(skewed, 2, [0, 1, 3, 4])
         assert a == b
+
+
+# SHA-256 over float.hex() of every weight and rate on the grid below,
+# taken from the row-by-row scalar simplex.  The vectorized solver must
+# reproduce every bit: sweep CSVs and traces depend on which optimal vertex
+# Bland's rule reaches.
+PINNED_LP_SHA256 = "2028585d60556c646ea27199c3b31121885d2ca04b26f57f5be00a99cc05241d"
+
+
+class TestPinnedLargeInstances:
+    """Random K = A instances at sizes the presets never reach."""
+
+    def test_weights_and_rates_match_pinned_digest(self):
+        rng = np.random.default_rng(BASE_SEED + 6)
+        digest = hashlib.sha256()
+        for num_actions in (5, 10, 20, 24, 40):
+            for size in (2, num_actions // 2, num_actions - 1):
+                for _ in range(5):
+                    env = random_env(rng, num_actions, num_actions)
+                    chosen = rng.choice(np.arange(1, num_actions), size=size, replace=False)
+                    sol = oracle_allocation(env, 0, chosen.tolist())
+                    for v in (*sol.allocation.weights, sol.rate):
+                        digest.update(v.hex().encode() + b"\n")
+        assert digest.hexdigest() == PINNED_LP_SHA256
+
+    def test_no_dirichlet_allocation_beats_the_lp_at_24_actions(self):
+        rng = np.random.default_rng(BASE_SEED + 7)
+        env = random_env(rng, 24, 24)
+        opponents = live_opponents(env, 0)
+        sol = oracle_allocation(env, 0, opponents)
+        rows = env.kl_table[:, 0, opponents]
+        # Half spread over the simplex, half concentrated near its faces.
+        draws = np.vstack([rng.dirichlet(np.full(24, 1.0), size=1000),
+                           rng.dirichlet(np.full(24, 0.1), size=1000)])
+        assert (draws @ rows).min(axis=1).max() <= sol.rate + RATE_TOL
+        achieved = float((np.array(sol.allocation.weights) @ rows).min())
+        assert achieved == pytest.approx(sol.rate, abs=RATE_TOL)
 
 
 class TestGridOracle:
