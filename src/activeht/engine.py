@@ -14,6 +14,27 @@ cumulative sampling target.  Policies differ in two places only:
   elimination threshold and stop when the champion's set empties.
 
 Trials are pure functions of (environment, true hypothesis, config, seed).
+
+``run_trials`` runs a batch of R trials of one policy kind in lockstep: the
+state is a set of numpy arrays with one row per trial (log-likelihoods
+(R, K), counts and cumulative targets (R, A), champions (R,), active sets
+(R, K, K)), and rows of finished trials are compacted out.  Every operation
+is elementwise or a per-row reduction, so each row is bit-identical to the
+trial run on its own, and results do not depend on how trials are batched:
+
+* each trial draws from its own ``default_rng(seed)`` stream in blocks of
+  512 normals; the step count is shared, so all rows refill together;
+* per-step scalars (the forced-exploration floor, ``b*log(t) + c``) are
+  computed once per step with ``math``;
+* the tracking target is fetched from the ``OracleCache`` only when a
+  trial's champion changes or, for FullElim, an elimination fires.
+
+``run_trial`` is the R = 1 call, and ``record_diagnostics`` records its
+rounds in the same loop.  A lone trial pays numpy's per-call overhead on
+arrays of one row, several times the per-step cost of a scalar loop, so
+runs of many trials should go through ``run_trials``.  ``new_trial_state``,
+``update_likelihoods``, ``ctrack_select``, ``greedy_select``, ``eliminate``
+and ``thresholds`` are the single-trial reference of the same rules.
 """
 
 from __future__ import annotations
@@ -288,117 +309,223 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one full trial; deterministic given (env, true_h, cfg, seed).
 
-    A shared ``cache`` may be passed to reuse allocation solutions across
-    trials on the same environment; it never changes the outcome.
+    The R = 1 call of ``run_trials``.  A shared ``cache`` may be passed to
+    reuse allocation solutions across trials on the same environment; it
+    never changes the outcome.
+    """
+    return run_trials(env, true_h, [cfg], [seed], cache=cache,
+                      record_diagnostics=record_diagnostics)[0]
+
+
+class _Rows:
+    """The per-trial arrays of a lockstep batch, one row per running trial."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask) -> None:
+        for name, value in list(vars(self).items()):
+            setattr(self, name, value[mask])
+
+
+def run_trials(
+    env: Environment,
+    true_h: int,
+    cfgs,
+    seeds,
+    cache: OracleCache | None = None,
+    record_diagnostics: bool = False,
+) -> list[TrialResult]:
+    """Run the trials ``(cfgs[i], seeds[i])`` of one policy kind in lockstep.
+
+    Result i is the same however the trials are batched (see the module
+    docstring).  The configs may differ in delta and alpha but share the
+    kind, the threshold shape (b, c) and max_steps.  Diagnostics are
+    recorded for a batch of one trial only.
     """
     if not 0 <= true_h < env.num_hypotheses:
         raise IndexError(f"true hypothesis {true_h} out of range")
     if env.num_hypotheses < 2:
         raise ValueError("identification needs at least two hypotheses")
-    cfg = resolve_config(cfg, env)
+    cfgs = [resolve_config(cfg, env) for cfg in cfgs]
+    seeds = [int(s) for s in seeds]
+    if len(cfgs) != len(seeds):
+        raise ValueError(f"{len(cfgs)} configs for {len(seeds)} seeds")
+    if not cfgs:
+        return []
+    if len({(cfg.kind, cfg.b, cfg.c, cfg.max_steps) for cfg in cfgs}) != 1:
+        raise ValueError("a lockstep batch shares the policy kind, b, c and max_steps")
+    if record_diagnostics and len(cfgs) != 1:
+        raise ValueError("diagnostics are recorded for one trial at a time")
     if cache is None:
         cache = OracleCache(env)
-    rng = np.random.default_rng(seed)
-    state = new_trial_state(env)
 
-    kind = cfg.kind
+    first = cfgs[0]
+    kind, b, c, max_steps = first.kind, first.b, first.c, first.max_steps
     tracking = kind != "Greedy"
     eliminating = kind in ("StopElim", "FullElim")
-    k = env.num_hypotheses
-    means = env.means
+    k, num_actions = env.num_hypotheses, env.num_actions
+    means = env.means_array
+    true_means = means[:, true_h]
     sigma = env.sigma
-    true_means = [means[a][true_h] for a in range(env.num_actions)]
+    scale = -0.5 / (sigma * sigma)
     full_opponents = [tuple(g for g in range(k) if g != i) for i in range(k)]
 
     trace = None
     if record_diagnostics:
-        trace = DiagnosticsTrace(
-            meta={
-                "environment": env.name,
-                "policy": kind,
-                "delta": cfg.delta,
-                "alpha": cfg.alpha,
-                "b": cfg.b,
-                "c": cfg.c,
-                "true_h": true_h,
-                "seed": int(seed),
-            }
-        )
+        trace = DiagnosticsTrace(meta={
+            "environment": env.name, "policy": kind, "delta": first.delta,
+            "alpha": first.alpha, "b": b, "c": c, "true_h": true_h, "seed": seeds[0],
+        })
 
-    buf = rng.standard_normal(_RNG_BLOCK)
-    buf_i = 0
+    # Each trial draws from its own stream in blocks of _RNG_BLOCK; the step
+    # count is shared, so every row refills at the same step.  Column j of
+    # ``noise`` is trial j's block.
+    n = len(cfgs)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    noise = np.empty((_RNG_BLOCK, n))
+    levels = [log(1.0 / cfg.delta) for cfg in cfgs]
+    rows = _Rows(
+        index=np.arange(n),
+        rng=np.array(rngs, dtype=object),
+        loglik=np.zeros((n, k)),
+        counts=np.zeros((n, num_actions), dtype=np.int64),
+        target=np.zeros((n, num_actions)),
+        champion=np.zeros(n, dtype=np.intp),
+        stop_level=np.array(levels),
+        elim_level=np.array([cfg.alpha * lv for cfg, lv in zip(cfgs, levels)]),
+        # The tracked target: its weights, their minimum, and the champion it
+        # was fetched for (-1 forces a fetch).
+        weights=np.zeros((n, num_actions)),
+        wmin=np.zeros(n),
+        tracked=np.full(n, -1),
+        rival=np.zeros(n, dtype=np.intp),
+    )
+    if eliminating:
+        # active[r, h, g]: g survives in candidate h's opponent set.
+        rows.active = ~np.eye(k, dtype=bool)[None].repeat(n, axis=0)
+    results: list[TrialResult | None] = [None] * n
+    # Row r's entries of the flattened (rows, K) and (rows, A) arrays start
+    # at r*K and r*A.
+    row_k = np.arange(n) * k
+    row_a = np.arange(n) * num_actions
+    t = 0
 
     while True:
-        ch = state.champion
         if tracking:
-            if kind == "FullElim":
-                target_set = state.active[ch]
-            else:
-                target_set = full_opponents[ch]
-            w, _ = cache.target(ch, target_set)
-            a = ctrack_select(state, w)
+            for r in (rows.tracked != rows.champion).nonzero()[0].tolist():
+                ch = int(rows.champion[r])
+                if kind == "FullElim":
+                    opponents = rows.active[r, ch].nonzero()[0].tolist()
+                else:
+                    opponents = full_opponents[ch]
+                w, _ = cache.target(ch, opponents)
+                rows.weights[r] = w
+                rows.wmin[r] = min(w)
+                rows.tracked[r] = ch
+            # ctrack_select on every row; eta = 0 leaves a row's weights as
+            # they are, as _floor_projection does when min(w) >= eps.
+            eps = 0.5 / sqrt(num_actions * num_actions + t)
+            eta = np.maximum(eps - rows.wmin, 0.0) / (1.0 - num_actions * eps)
+            rows.target += (rows.weights + eta[:, None]) / (1.0 + num_actions * eta)[:, None]
+            a = (rows.target - rows.counts).argmax(axis=1)
+        elif t == 0:
+            a = np.zeros(len(row_k), dtype=np.intp)
         else:
-            a = greedy_select(state, env)
+            a = env.best_action[rows.champion, rows.rival]
 
-        if buf_i == _RNG_BLOCK:
-            buf = rng.standard_normal(_RNG_BLOCK)
-            buf_i = 0
-        o = true_means[a] + sigma * buf[buf_i]
-        buf_i += 1
+        i = t % _RNG_BLOCK
+        if i == 0:
+            for j, rng in zip(rows.index.tolist(), rows.rng):
+                noise[:, j] = rng.standard_normal(_RNG_BLOCK)
+        o = true_means[a] + sigma * noise[i][rows.index]
 
-        update_likelihoods(state, env, a, o)
-        t = state.t
-        ch = state.champion
-        level = state.loglik[ch]
+        gap = o[:, None] - means.take(a, axis=0)
+        loglik = rows.loglik
+        loglik += scale * gap * gap
+        rows.counts.reshape(-1)[row_a + a] += 1
+        t += 1
+        rows.champion = champion = loglik.argmax(axis=1)
+        at_champion = row_k + champion
+        level = loglik.reshape(-1)[at_champion]
+        gamma = b * log(t) + c
 
+        # stopped stays None when no row can stop this step.
+        stopped = removed = None
         if eliminating:
-            removed = eliminate(state, cfg)
-            stopped = not state.active[ch]
+            # Only the champion's set shrinks, and a trial stops the step its
+            # set empties, so only a row that eliminated can stop.
+            active = rows.active.reshape(-1, k)
+            act = active[at_champion]
+            removed = act & (level[:, None] - loglik >= (rows.elim_level + gamma)[:, None])
+            if removed.any():
+                fired = removed.any(axis=1).nonzero()[0]
+                left = act[fired] & ~removed[fired]
+                active[at_champion[fired]] = left
+                stopped = np.zeros(len(row_k), dtype=bool)
+                stopped[fired] = ~left.any(axis=1)
+                if kind == "FullElim":
+                    rows.tracked[fired] = -1
         else:
-            beta_stop, _ = thresholds(t, cfg)
-            min_z = min(level - state.loglik[g] for g in full_opponents[ch])
-            removed = set()
-            stopped = min_z >= beta_stop
+            # min over g of (level - loglik[g]) is level - max over g of
+            # loglik[g]: rounding is monotone.
+            others = loglik.copy()
+            others.reshape(-1)[at_champion] = -np.inf
+            rows.rival = others.argmax(axis=1)
+            stopped = level - others.reshape(-1)[row_k + rows.rival] >= rows.stop_level + gamma
 
-        if record_diagnostics:
-            _record_round(trace, state, env, cfg, cache, full_opponents[ch], removed)
+        if trace is not None:
+            _record_round(trace, env, first, cache, t, rows, full_opponents,
+                          removed[0].nonzero()[0].tolist() if eliminating else [])
 
-        if stopped or t >= cfg.max_steps:
-            result = TrialResult(
-                tau=t,
-                recommendation=ch,
-                correct=ch == true_h,
-                timed_out=not stopped,
-                diagnostics=trace,
+        if t >= max_steps:
+            done = np.ones(len(row_k), dtype=bool)
+        elif stopped is None or not stopped.any():
+            continue
+        else:
+            done = stopped
+        for r in done.nonzero()[0].tolist():
+            ch = int(champion[r])
+            results[rows.index[r]] = TrialResult(
+                tau=t, recommendation=ch, correct=ch == true_h,
+                timed_out=stopped is None or not stopped[r], diagnostics=trace,
             )
-            if record_diagnostics:
-                trace.meta.update(tau=result.tau, recommendation=result.recommendation,
-                                  correct=result.correct, timed_out=result.timed_out)
-            return result
+        if done.all():
+            break
+        rows.keep(~done)
+        row_k = np.arange(len(rows.index)) * k
+        row_a = np.arange(len(rows.index)) * num_actions
+
+    if trace is not None:
+        result = results[0]
+        trace.meta.update(tau=result.tau, recommendation=result.recommendation,
+                          correct=result.correct, timed_out=result.timed_out)
+    return results
 
 
-def _record_round(trace, state, env, cfg, cache, full_opponents, removed):
-    """Append one round; ``min_z`` is taken over the set the stop rule saw,
-    the survivors plus this round's removals (or every opponent)."""
-    t = state.t
-    ch = state.champion
-    level = state.loglik[ch]
+def _record_round(trace, env, cfg, cache, t, rows, full_opponents, removed):
+    """Append the round of row 0; ``min_z`` is taken over the set the stop
+    rule saw, the survivors plus this round's removals (or every opponent)."""
+    ch = int(rows.champion[0])
+    loglik = rows.loglik[0].tolist()
+    counts = rows.counts[0].tolist()
+    level = loglik[ch]
     if cfg.kind in ("StopElim", "FullElim"):
-        survivors = sorted(state.active[ch])
-        pre_set = state.active[ch] | removed
+        survivors = rows.active[0, ch].nonzero()[0].tolist()
+        pre_set = survivors + removed
     else:
-        survivors = pre_set = full_opponents
+        survivors = pre_set = full_opponents[ch]
     _, beta_elim = thresholds(t, cfg)
     trace.t.append(t)
     trace.champion.append(ch)
     trace.active_set.append(list(survivors))
-    alloc = [n / t for n in state.counts]
+    alloc = [n / t for n in counts]
     trace.alloc.append(alloc)
-    trace.counts.append(list(state.counts))
-    trace.target_avg.append([w / t for w in state.target])
-    trace.min_z.append(min(level - state.loglik[g] for g in pre_set) if pre_set else float("inf"))
+    trace.counts.append(counts)
+    trace.target_avg.append([w / t for w in rows.target[0].tolist()])
+    trace.min_z.append(min(level - loglik[g] for g in pre_set) if pre_set else float("inf"))
     trace.beta_elim.append(beta_elim)
-    trace.events.append(sorted(removed))
+    trace.events.append(removed)
     if survivors:
         _, rate = cache.target(ch, survivors)
         emp = min(float(np.dot(alloc, env.kl_table[:, ch, g])) for g in survivors)

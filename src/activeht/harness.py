@@ -23,7 +23,7 @@ from .engine import (
     POLICY_KINDS,
     PolicyConfig,
     TrialResult,
-    run_trial,
+    run_trials,
 )
 from .model import Environment, load_environment
 from .oracle import OracleCache
@@ -83,8 +83,8 @@ class SummaryRow:
 
     ``mean_tau``/``stderr_tau`` cover completed (non-timed-out) trials only
     and are NaN when every trial timed out; ``error_rate`` is the wrong-
-    recommendation fraction among completed trials.  Capped-inclusive views
-    are available as methods.
+    recommendation fraction among completed trials and ``wrong`` their
+    count.  Capped-inclusive views are available as methods.
     """
 
     environment: str
@@ -96,6 +96,7 @@ class SummaryRow:
     error_rate: float
     timeouts: int
     trials: int
+    wrong: int
 
     @property
     def completed(self) -> int:
@@ -103,8 +104,7 @@ class SummaryRow:
 
     def failure_rate(self) -> float:
         """Fraction of trials that were wrong or never stopped."""
-        wrong = round(self.error_rate * self.completed) if self.completed else 0
-        return (wrong + self.timeouts) / self.trials
+        return (self.wrong + self.timeouts) / self.trials
 
     def capped_mean_tau(self, max_steps: int) -> float:
         """Mean stopping time with timed-out trials entering at the cap."""
@@ -128,6 +128,7 @@ def aggregate(results, *, environment: str = "", policy: str = "",
         raise ValueError("cannot aggregate an empty result sequence")
     taus = [r.tau for r in results if not r.timed_out]
     timeouts = sum(1 for r in results if r.timed_out)
+    wrong = sum(1 for r in results if not r.timed_out and not r.correct)
     if taus:
         mean = sum(taus) / len(taus)
         if len(taus) > 1:
@@ -135,7 +136,6 @@ def aggregate(results, *, environment: str = "", policy: str = "",
             stderr = sqrt(var / len(taus))
         else:
             stderr = 0.0
-        wrong = sum(1 for r in results if not r.timed_out and not r.correct)
         error_rate = wrong / len(taus)
     else:
         mean = stderr = error_rate = nan
@@ -149,6 +149,7 @@ def aggregate(results, *, environment: str = "", policy: str = "",
         error_rate=error_rate,
         timeouts=timeouts,
         trials=len(results),
+        wrong=wrong,
     )
 
 
@@ -172,10 +173,11 @@ def _init_process(env: Environment) -> None:
     _PROCESS_CACHE = OracleCache(env)
 
 
-def _run_chunk(job: tuple[PolicyConfig, int, list[int]]) -> list[TrialResult]:
-    """Run one chunk of a cell's seeds in the calling process."""
-    cfg, true_h, seeds = job
-    return [run_trial(_PROCESS_ENV, true_h, cfg, s, cache=_PROCESS_CACHE) for s in seeds]
+def _run_chunk(job: tuple[int, list[PolicyConfig], list[int]]) -> list[TrialResult]:
+    """Run one chunk of trials of one policy kind in lockstep, in the calling
+    process."""
+    true_h, cfgs, seeds = job
+    return run_trials(_PROCESS_ENV, true_h, cfgs, seeds, cache=_PROCESS_CACHE)
 
 
 @contextmanager
@@ -197,17 +199,26 @@ def _chunk_map(env: Environment, workers: int):
 
 
 def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
+    """Run every trial of ``cells``, one lockstep batch per policy kind and
+    worker, and aggregate each cell's results in trial-index order."""
     env = resolve_environment(ecfg.environment)
-    chunk = max(1, ecfg.trials // (ecfg.workers * 4))
-    rows = []
+    kinds = dict.fromkeys(kind for kind, _, _ in cells)
+    cells = [cell for kind in kinds for cell in cells if cell[0] == kind]
+    jobs = []
+    for kind in kinds:
+        cfgs, seeds = [], []
+        for cell in cells:
+            if cell[0] == kind:
+                cfgs += [ecfg.policy_config(*cell)] * ecfg.trials
+                seeds += [trial_seed(ecfg.base_seed, *cell, i) for i in range(ecfg.trials)]
+        size = -(-len(seeds) // ecfg.workers)  # one contiguous chunk per worker
+        jobs += [(ecfg.true_h, cfgs[i:i + size], seeds[i:i + size])
+                 for i in range(0, len(seeds), size)]
     with _chunk_map(env, ecfg.workers) as chunk_map:
-        for kind, delta, alpha in cells:
-            cfg = ecfg.policy_config(kind, delta, alpha)
-            seeds = [trial_seed(ecfg.base_seed, kind, delta, alpha, i) for i in range(ecfg.trials)]
-            jobs = [(cfg, ecfg.true_h, seeds[i:i + chunk]) for i in range(0, len(seeds), chunk)]
-            results = [r for part in chunk_map(_run_chunk, jobs) for r in part]
-            rows.append(aggregate(results, environment=env.name, policy=kind,
-                                  delta=delta, alpha=alpha))
+        results = [r for part in chunk_map(_run_chunk, jobs) for r in part]
+    rows = [aggregate(results[j * ecfg.trials:(j + 1) * ecfg.trials], environment=env.name,
+                      policy=kind, delta=delta, alpha=alpha)
+            for j, (kind, delta, alpha) in enumerate(cells)]
     rows.sort(key=lambda r: (r.policy, -r.delta, r.alpha))
     if ecfg.out:
         write_summary_csv(rows, ecfg.out)
@@ -248,15 +259,19 @@ def write_summary_csv(rows, path) -> None:
 
 
 def read_summary_csv(path) -> list[SummaryRow]:
+    """Rows of a summary CSV.  ``wrong`` is recovered from the 6-decimal
+    ``error_rate``, which pins it while fewer than 10^6 trials completed."""
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected summary header")
     rows = []
     for line in text[1:]:
         env, policy, delta, alpha, mean, stderr, err, timeouts, trials = line.split(",")
+        completed = int(trials) - int(timeouts)
         rows.append(SummaryRow(
             environment=env, policy=policy, delta=float(delta), alpha=float(alpha),
             mean_tau=float(mean), stderr_tau=float(stderr), error_rate=float(err),
             timeouts=int(timeouts), trials=int(trials),
+            wrong=round(float(err) * completed) if completed else 0,
         ))
     return rows

@@ -21,6 +21,7 @@ from activeht import (
     oracle_allocation,
     run_delta_sweep,
     run_trial,
+    run_trials,
     trial_seed,
     worst_case_rate,
 )
@@ -49,11 +50,8 @@ def mc(envs, caches):
         key = (name, kind, delta, alpha, trials, max_steps)
         if key not in _CELLS:
             cfg = PolicyConfig(kind=kind, delta=delta, alpha=alpha, max_steps=max_steps)
-            results = [
-                run_trial(envs[name], 0, cfg, trial_seed(BASE_SEED, kind, delta, alpha, i),
-                          cache=caches[name])
-                for i in range(trials)
-            ]
+            seeds = [trial_seed(BASE_SEED, kind, delta, alpha, i) for i in range(trials)]
+            results = run_trials(envs[name], 0, [cfg] * trials, seeds, cache=caches[name])
             _CELLS[key] = aggregate(results, environment=name, policy=kind,
                                     delta=delta, alpha=alpha)
         return _CELLS[key]

@@ -13,6 +13,7 @@ from activeht import (
     load_environment,
     new_trial_state,
     run_trial,
+    run_trials,
     sample_observation,
     thresholds,
     update_likelihoods,
@@ -220,6 +221,38 @@ class TestGreedySelect:
         assert greedy_select(state, skewed) == 0
 
 
+def replay(env, true_h, cfg, seed, cache, rounds=None):
+    """One trial through the public step functions, in the order of the
+    single-trial loop ``run_trial`` had before the lockstep engine; returns
+    (tau, recommendation, timed_out).  ``rounds``, if given, receives each
+    round's (t, champion, counts, target / t)."""
+    cfg = resolve_config(cfg, env)
+    rng = np.random.default_rng(seed)
+    state = new_trial_state(env)
+    k = env.num_hypotheses
+    full = [tuple(g for g in range(k) if g != i) for i in range(k)]
+    while True:
+        ch = state.champion
+        if cfg.kind == "Greedy":
+            a = greedy_select(state, env)
+        else:
+            subset = state.active[ch] if cfg.kind == "FullElim" else full[ch]
+            w, _ = cache.target(ch, subset)
+            a = ctrack_select(state, w)
+        update_likelihoods(state, env, a, sample_observation(env, a, true_h, rng))
+        ch = state.champion
+        if rounds is not None:
+            rounds.append((state.t, ch, list(state.counts), [w / state.t for w in state.target]))
+        if cfg.kind in ("StopElim", "FullElim"):
+            eliminate(state, cfg)
+            stopped = not state.active[ch]
+        else:
+            beta_stop, _ = thresholds(state.t, cfg)
+            stopped = min(llr(state, ch, g) for g in full[ch]) >= beta_stop
+        if stopped or state.t >= cfg.max_steps:
+            return state.t, ch, not stopped
+
+
 class TestRunTrial:
     def test_same_seed_identical_results(self, skewed):
         cfg = PolicyConfig(kind="FullElim", delta=0.1)
@@ -237,8 +270,7 @@ class TestRunTrial:
         env = drift_env()
         cfg = PolicyConfig(kind="TaS", delta=0.1)
         taus, wrong = [], 0
-        for i in range(1000):
-            r = run_trial(env, 0, cfg, seed=BASE_SEED + i)
+        for r in run_trials(env, 0, [cfg] * 1000, [BASE_SEED + i for i in range(1000)]):
             taus.append(r.tau)
             wrong += not r.correct
         assert sum(taus) / len(taus) <= 5
@@ -270,37 +302,11 @@ class TestRunTrial:
                 assert se.recommendation == tas.recommendation
 
     def test_matches_manual_composition_of_public_operations(self, skewed):
-        def manual(env, true_h, cfg, seed):
-            cfg = resolve_config(cfg, env)
-            cache = OracleCache(env)
-            rng = np.random.default_rng(seed)
-            state = new_trial_state(env)
-            k = env.num_hypotheses
-            full = [tuple(g for g in range(k) if g != i) for i in range(k)]
-            while True:
-                ch = state.champion
-                if cfg.kind == "Greedy":
-                    a = greedy_select(state, env)
-                else:
-                    subset = state.active[ch] if cfg.kind == "FullElim" else full[ch]
-                    w, _ = cache.target(ch, subset)
-                    a = ctrack_select(state, w)
-                o = sample_observation(env, a, true_h, rng)
-                update_likelihoods(state, env, a, o)
-                ch = state.champion
-                if cfg.kind in ("StopElim", "FullElim"):
-                    eliminate(state, cfg)
-                    stopped = not state.active[ch]
-                else:
-                    beta_stop, _ = thresholds(state.t, cfg)
-                    stopped = min(llr(state, ch, g) for g in full[ch]) >= beta_stop
-                if stopped or state.t >= cfg.max_steps:
-                    return state.t if stopped else cfg.max_steps, ch
-
         for kind in ("Greedy", "TaS", "StopElim", "FullElim"):
             cfg = PolicyConfig(kind=kind, delta=0.2)
             got = run_trial(skewed, 0, cfg, seed=77)
-            assert (got.tau, got.recommendation) == manual(skewed, 0, cfg, seed=77)
+            expected = replay(skewed, 0, cfg, 77, OracleCache(skewed))
+            assert (got.tau, got.recommendation, got.timed_out) == expected
 
     def test_invariants_along_a_recorded_trial(self, skewed):
         cfg = PolicyConfig(kind="FullElim", delta=0.1)
@@ -327,3 +333,77 @@ class TestRunTrial:
         single = load_environment({"name": "solo", "means": [[0.5]]}, strict=False)
         with pytest.raises(ValueError):
             run_trial(single, 0, cfg, seed=0)
+
+
+def _mixed_batch(kind, seeds, max_steps):
+    """Configs that vary delta and alpha from trial to trial."""
+    cfgs = [PolicyConfig(kind=kind, delta=(0.2, 0.05)[i % 2], alpha=(1.0, 0.5)[i // 2 % 2],
+                         max_steps=max_steps)
+            for i in range(len(seeds))]
+    return cfgs, list(seeds)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim"])
+    @pytest.mark.parametrize("name", ["skewed", "hard-weak", "degenerate"])
+    def test_matches_step_function_replay(self, request, caches, kind, name):
+        env = request.getfixturevalue(name.replace("-", "_"))
+        # A short cap times most of the first 100 trials out; the rest run
+        # under a cap that few reach.
+        for first, max_steps in ((BASE_SEED, 60), (BASE_SEED + 100, 800)):
+            cfgs, seeds = _mixed_batch(kind, range(first, first + 100), max_steps)
+            got = run_trials(env, 0, cfgs, seeds, cache=caches[name])
+            expected = [replay(env, 0, cfg, s, caches[name]) for cfg, s in zip(cfgs, seeds)]
+            assert [(r.tau, r.recommendation, r.timed_out) for r in got] == expected
+            assert all(r.correct == (r.recommendation == 0) for r in got)
+            if max_steps == 60:
+                assert any(r.timed_out for r in got)
+
+    @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim"])
+    def test_recorded_rounds_match_the_replay_state(self, hard_weak, kind):
+        # The second environment's targets put weight 0.2 and 0.8 on its two
+        # actions, so its rounds track a target above the exploration floor.
+        interior = load_environment({"name": "interior", "means": [[0.0, 1.0, 0.0],
+                                                                    [0.0, 0.0, 0.5]]})
+        cfg = PolicyConfig(kind=kind, delta=0.1, alpha=0.5, max_steps=3000)
+        for env, true_h in ((hard_weak, 2), (interior, 0)):
+            for seed in range(BASE_SEED, BASE_SEED + 3):
+                rounds = []
+                replay(env, true_h, cfg, seed, OracleCache(env), rounds)
+                trace = run_trial(env, true_h, cfg, seed, record_diagnostics=True).diagnostics
+                assert list(zip(trace.t, trace.champion, trace.counts, trace.target_avg)) == rounds
+
+    @pytest.mark.parametrize("kind", ["Greedy", "FullElim"])
+    def test_results_do_not_depend_on_the_partition(self, hard_weak, kind):
+        cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 24), 300)
+        whole = run_trials(hard_weak, 1, cfgs, seeds)
+        order = np.random.default_rng(BASE_SEED).permutation(len(seeds))
+        split = [None] * len(seeds)
+        for part in np.array_split(order, 5):
+            for j, r in zip(part, run_trials(hard_weak, 1, [cfgs[j] for j in part],
+                                             [seeds[j] for j in part])):
+                split[j] = r
+        alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
+        assert whole == split == alone
+
+    def test_results_are_python_values(self, skewed):
+        r = run_trials(skewed, 0, [PolicyConfig(kind="TaS", delta=0.1)], [3])[0]
+        assert type(r.tau) is int
+        assert type(r.recommendation) is int
+        assert type(r.correct) is bool and type(r.timed_out) is bool
+
+    def test_bad_batches_rejected(self, skewed):
+        tas = PolicyConfig(kind="TaS", delta=0.1)
+        assert run_trials(skewed, 0, [], []) == []
+        with pytest.raises(ValueError):
+            run_trials(skewed, 0, [tas, PolicyConfig(kind="FullElim", delta=0.1)], [1, 2])
+        with pytest.raises(ValueError):
+            run_trials(skewed, 0, [tas, PolicyConfig(kind="TaS", delta=0.1, b=0.5)], [1, 2])
+        with pytest.raises(ValueError):
+            run_trials(skewed, 0, [tas, PolicyConfig(kind="TaS", delta=0.1, max_steps=9)], [1, 2])
+        with pytest.raises(ValueError):
+            run_trials(skewed, 0, [tas], [1, 2])
+        with pytest.raises(ValueError):
+            run_trials(skewed, 0, [tas, tas], [1, 2], record_diagnostics=True)
+        with pytest.raises(IndexError):
+            run_trials(skewed, 5, [tas], [1])

@@ -15,7 +15,7 @@ from activeht import (
     summary_to_csv,
     trial_seed,
 )
-from activeht.harness import CSV_HEADER, read_summary_csv
+from activeht.harness import CSV_HEADER, read_summary_csv, write_summary_csv
 
 from conftest import BASE_SEED
 
@@ -123,7 +123,7 @@ class TestSweeps:
         assert read_summary_csv(out) == [
             SummaryRow(r.environment, r.policy, r.delta, r.alpha,
                        pytest.approx(r.mean_tau), pytest.approx(r.stderr_tau),
-                       pytest.approx(r.error_rate), r.timeouts, r.trials)
+                       pytest.approx(r.error_rate), r.timeouts, r.trials, r.wrong)
             for r in rows
         ]
 
@@ -178,6 +178,21 @@ class TestSweeps:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
 
+    def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self, tmp_path):
+        # 7 trials per cell split each policy's batch across cell boundaries;
+        # the cap times some trials out.
+        for sweep in (run_delta_sweep, run_alpha_sweep):
+            csvs = []
+            for workers in (1, 2):
+                out = tmp_path / f"{sweep.__name__}{workers}.csv"
+                sweep(ExperimentConfig(
+                    environment="degenerate", deltas=(0.3, 0.1, 0.05), alphas=(0.5, 1.0),
+                    trials=7, base_seed=BASE_SEED, workers=workers, max_steps=400,
+                    out=str(out)))
+                csvs.append(out.read_bytes())
+            assert csvs[0] == csvs[1]
+            assert any(int(line.split(",")[7]) for line in csvs[0].decode().splitlines()[1:])
+
     def test_spawn_pool_matches_serial(self, monkeypatch):
         # A platform without fork: the pool falls back to the first listed
         # method, and spawned workers rebuild their state from initargs.
@@ -227,11 +242,25 @@ class TestDiagnosticTrial:
 class TestCsv:
     def test_nan_row_serializes(self):
         row = SummaryRow("e", "TaS", 0.1, 1.0, float("nan"), float("nan"),
-                         float("nan"), 3, 3)
+                         float("nan"), 3, 3, 0)
         text = summary_to_csv([row])
         assert "nan" in text
         parsed = read_summary_csv_from_text(text)
         assert math.isnan(parsed[0].mean_tau)
+
+    def test_wrong_count_survives_the_csv(self, tmp_path):
+        # 3 wrong of 7 completed: 3/7 has no finite decimal form, so the
+        # count comes back from the rounded error rate, not a stored column.
+        results = ([_result(10 + i) for i in range(4)] + [_result(20, correct=False)] * 3
+                   + [_result(99, timed_out=True)] * 2)
+        row = aggregate(results, environment="e", policy="TaS", delta=0.1, alpha=1.0)
+        assert (row.wrong, row.completed, row.timeouts) == (3, 7, 2)
+        out = tmp_path / "rows.csv"
+        write_summary_csv([row], out)
+        assert out.read_text().splitlines()[1].split(",")[6] == "0.428571"
+        (back,) = read_summary_csv(out)
+        assert back.wrong == 3
+        assert back.failure_rate() == row.failure_rate() == 5 / 9
 
     def test_header_check(self, tmp_path):
         bad = tmp_path / "bad.csv"
