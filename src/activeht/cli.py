@@ -111,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", parents=[env_flags, run_flags],
                             help="record one trial's internal dynamics")
+    p_diag.add_argument("--policy", default="FullElim", choices=POLICY_KINDS,
+                        help="policy of the recorded trial")
     p_diag.add_argument("--delta", type=float, default=0.1)
     p_diag.add_argument("--alpha", type=float, default=1.0)
     p_diag.add_argument("--out", required=True, help="trace JSON path")
@@ -216,7 +218,7 @@ def _cmd_exp2(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = _policy_config(args, "FullElim")
+    cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")

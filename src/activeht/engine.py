@@ -15,11 +15,17 @@ cumulative sampling target.  Policies differ in two places only:
 
 Trials are pure functions of (environment, true hypothesis, config, seed).
 
-``run_trials`` runs a batch of R trials of one policy kind in lockstep: the
-state is a set of numpy arrays with one row per trial (log-likelihoods
-(R, K), counts and cumulative targets (R, A), champions (R,), active sets
-(R, K, K)), and rows of finished trials are compacted out.  Every operation
-is elementwise or a per-row reduction, so each row is bit-identical to the
+``run_trials`` runs a batch of R trials in lockstep, of any mix of policy
+kinds: the state is a set of numpy arrays with one row per trial
+(log-likelihoods (R, K), counts and cumulative targets (R, A), champions
+(R,), active sets (R, K, K)).  Rows sit in contiguous kind slices, ordered
+as ``POLICY_KINDS``, and each rule runs on the slices of the kinds it
+belongs to (C-tracking on TaS/StopElim/FullElim, the greedy pick on Greedy,
+the stop rule on Greedy/TaS, elimination on StopElim/FullElim); the kinds
+share t, since they share b, c and max_steps.  A finished trial's result
+is recorded at once, and its row is compacted out once finished rows are a
+fixed share of the batch or fill a whole kind slice.  Every operation is
+elementwise or a per-row reduction, so each row is bit-identical to the
 trial run on its own, and results do not depend on how trials are batched:
 
 * each trial draws from its own ``default_rng(seed)`` stream in blocks of
@@ -27,7 +33,7 @@ trial run on its own, and results do not depend on how trials are batched:
 * per-step scalars (the forced-exploration floor, ``b*log(t) + c``) are
   computed once per step with ``math``;
 * the tracking target is fetched from the ``OracleCache`` only when a
-  trial's champion changes or, for FullElim, an elimination fires.
+  running trial's champion changes or, for FullElim, an elimination fires.
 
 ``run_trial`` is the R = 1 call, and ``record_diagnostics`` records its
 rounds in the same loop.  A lone trial pays numpy's per-call overhead on
@@ -59,6 +65,9 @@ DEFAULT_C = None
 DEFAULT_C_OFFSET = -1.7863
 
 _RNG_BLOCK = 512
+# Finished rows of a lockstep batch are compacted out once they are this share
+# of its rows.
+_COMPACT_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -318,7 +327,7 @@ def run_trial(
 
 
 class _Rows:
-    """The per-trial arrays of a lockstep batch, one row per running trial."""
+    """The per-trial arrays of a lockstep batch, one row per trial."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -326,6 +335,10 @@ class _Rows:
     def keep(self, mask) -> None:
         for name, value in list(vars(self).items()):
             setattr(self, name, value[mask])
+
+    def part(self, lo: int, hi: int, *names) -> list:
+        """Views of rows [lo, hi) of the named arrays, valid until ``keep``."""
+        return [getattr(self, name)[lo:hi] for name in names]
 
 
 def run_trials(
@@ -336,12 +349,12 @@ def run_trials(
     cache: OracleCache | None = None,
     record_diagnostics: bool = False,
 ) -> list[TrialResult]:
-    """Run the trials ``(cfgs[i], seeds[i])`` of one policy kind in lockstep.
+    """Run the trials ``(cfgs[i], seeds[i])`` together in lockstep.
 
+    The configs may mix policy kinds and differ in delta and alpha, but share
+    the threshold shape (b, c) and max_steps, so the step count is shared.
     Result i is the same however the trials are batched (see the module
-    docstring).  The configs may differ in delta and alpha but share the
-    kind, the threshold shape (b, c) and max_steps.  Diagnostics are
-    recorded for a batch of one trial only.
+    docstring).  Diagnostics are recorded for a batch of one trial only.
     """
     if not 0 <= true_h < env.num_hypotheses:
         raise IndexError(f"true hypothesis {true_h} out of range")
@@ -353,17 +366,15 @@ def run_trials(
         raise ValueError(f"{len(cfgs)} configs for {len(seeds)} seeds")
     if not cfgs:
         return []
-    if len({(cfg.kind, cfg.b, cfg.c, cfg.max_steps) for cfg in cfgs}) != 1:
-        raise ValueError("a lockstep batch shares the policy kind, b, c and max_steps")
+    if len({(cfg.b, cfg.c, cfg.max_steps) for cfg in cfgs}) != 1:
+        raise ValueError("a lockstep batch shares b, c and max_steps")
     if record_diagnostics and len(cfgs) != 1:
         raise ValueError("diagnostics are recorded for one trial at a time")
     if cache is None:
         cache = OracleCache(env)
 
     first = cfgs[0]
-    kind, b, c, max_steps = first.kind, first.b, first.c, first.max_steps
-    tracking = kind != "Greedy"
-    eliminating = kind in ("StopElim", "FullElim")
+    b, c, max_steps = first.b, first.c, first.max_steps
     k, num_actions = env.num_hypotheses, env.num_actions
     means = env.means_array
     true_means = means[:, true_h]
@@ -374,127 +385,162 @@ def run_trials(
     trace = None
     if record_diagnostics:
         trace = DiagnosticsTrace(meta={
-            "environment": env.name, "policy": kind, "delta": first.delta,
+            "environment": env.name, "policy": first.kind, "delta": first.delta,
             "alpha": first.alpha, "b": b, "c": c, "true_h": true_h, "seed": seeds[0],
         })
 
+    # Rows sit in contiguous kind slices ordered as POLICY_KINDS, so each
+    # rule runs on one slice: Greedy [0, g), TaS [g, s), StopElim [s, f) and
+    # FullElim [f, n).  Tracking covers [g, n), the stop rule [0, s) and
+    # elimination [s, n).  Compaction keeps the order.
+    n = len(cfgs)
+    order = sorted(range(n), key=lambda j: POLICY_KINDS.index(cfgs[j].kind))
+    g, s, f = (sum(cfg.kind in POLICY_KINDS[:end] for cfg in cfgs) for end in (1, 2, 3))
     # Each trial draws from its own stream in blocks of _RNG_BLOCK; the step
     # count is shared, so every row refills at the same step.  Column j of
     # ``noise`` is trial j's block.
-    n = len(cfgs)
-    rngs = [np.random.default_rng(s) for s in seeds]
     noise = np.empty((_RNG_BLOCK, n))
-    levels = [log(1.0 / cfg.delta) for cfg in cfgs]
     rows = _Rows(
-        index=np.arange(n),
-        rng=np.array(rngs, dtype=object),
+        index=np.array(order),
+        rng=np.array([np.random.default_rng(seeds[j]) for j in order], dtype=object),
+        live=np.ones(n, dtype=bool),
+        # A row's level is log(1/delta) under the stop rule and
+        # alpha*log(1/delta) under elimination; a finished row's is +inf, so
+        # it never stops or eliminates again.
+        level=np.array([log(1.0 / cfgs[j].delta) * (cfgs[j].alpha if r >= s else 1.0)
+                        for r, j in enumerate(order)]),
         loglik=np.zeros((n, k)),
         counts=np.zeros((n, num_actions), dtype=np.int64),
         target=np.zeros((n, num_actions)),
         champion=np.zeros(n, dtype=np.intp),
-        stop_level=np.array(levels),
-        elim_level=np.array([cfg.alpha * lv for cfg, lv in zip(cfgs, levels)]),
         # The tracked target: its weights, their minimum, and the champion it
         # was fetched for (-1 forces a fetch).
         weights=np.zeros((n, num_actions)),
         wmin=np.zeros(n),
         tracked=np.full(n, -1),
         rival=np.zeros(n, dtype=np.intp),
-    )
-    if eliminating:
         # active[r, h, g]: g survives in candidate h's opponent set.
-        rows.active = ~np.eye(k, dtype=bool)[None].repeat(n, axis=0)
+        active=~np.eye(k, dtype=bool)[None].repeat(n, axis=0),
+    )
     results: list[TrialResult | None] = [None] * n
-    # Row r's entries of the flattened (rows, K) and (rows, A) arrays start
-    # at r*K and r*A.
-    row_k = np.arange(n) * k
-    row_a = np.arange(n) * num_actions
+    running = n
     t = 0
 
-    while True:
-        if tracking:
-            for r in (rows.tracked != rows.champion).nonzero()[0].tolist():
-                ch = int(rows.champion[r])
-                if kind == "FullElim":
-                    opponents = rows.active[r, ch].nonzero()[0].tolist()
-                else:
-                    opponents = full_opponents[ch]
-                w, _ = cache.target(ch, opponents)
-                rows.weights[r] = w
-                rows.wmin[r] = min(w)
-                rows.tracked[r] = ch
-            # ctrack_select on every row; eta = 0 leaves a row's weights as
-            # they are, as _floor_projection does when min(w) >= eps.
-            eps = 0.5 / sqrt(num_actions * num_actions + t)
-            eta = np.maximum(eps - rows.wmin, 0.0) / (1.0 - num_actions * eps)
-            rows.target += (rows.weights + eta[:, None]) / (1.0 + num_actions * eta)[:, None]
-            a = (rows.target - rows.counts).argmax(axis=1)
-        elif t == 0:
-            a = np.zeros(len(row_k), dtype=np.intp)
-        else:
-            a = env.best_action[rows.champion, rows.rival]
+    while running:
+        # Compaction replaces the row arrays: the row offsets and the views
+        # each rule works on hold until the next one.  Row r's entries of
+        # the flattened (rows, K) and (rows, A) arrays start at r*K and r*A.
+        row_k = np.arange(n) * k
+        row_a = np.arange(n) * num_actions
+        champion = rows.champion
+        tracked, tracking_champion, wmin, weights, target, tracking_counts = rows.part(
+            g, n, "tracked", "champion", "wmin", "weights", "target", "counts")
+        greedy_champion, greedy_rival = rows.part(0, g, "champion", "rival")
+        stop_loglik, rival = rows.part(0, s, "loglik", "rival")
+        stop_k = row_k[:s]
+        compact = False
+        while not compact:
+            if g < n:
+                # A finished row takes no target: a finished FullElim row's
+                # champion may have no opponent left.
+                for r in (tracked != tracking_champion).nonzero()[0].tolist():
+                    ch = int(tracking_champion[r])
+                    tracked[r] = ch
+                    if not rows.live[g + r]:
+                        continue
+                    opponents = rows.active[g + r, ch].nonzero()[0].tolist() if g + r >= f \
+                        else full_opponents[ch]
+                    w, _ = cache.target(ch, opponents)
+                    weights[r] = w
+                    wmin[r] = min(w)
+                # ctrack_select on every tracking row; eta = 0 leaves a row's
+                # weights as they are, as _floor_projection does when
+                # min(w) >= eps.
+                eps = 0.5 / sqrt(num_actions * num_actions + t)
+                eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
+                target += (weights + eta) / (1.0 + num_actions * eta)
+                a = (target - tracking_counts).argmax(axis=1)
+            if g:
+                greedy = (np.zeros(g, dtype=np.intp) if t == 0
+                          else env.best_action[greedy_champion, greedy_rival])
+                a = greedy if g == n else np.concatenate((greedy, a))
 
-        i = t % _RNG_BLOCK
-        if i == 0:
-            for j, rng in zip(rows.index.tolist(), rows.rng):
-                noise[:, j] = rng.standard_normal(_RNG_BLOCK)
-        o = true_means[a] + sigma * noise[i][rows.index]
+            i = t % _RNG_BLOCK
+            if i == 0:
+                for j, rng in zip(rows.index[rows.live].tolist(), rows.rng[rows.live]):
+                    noise[:, j] = rng.standard_normal(_RNG_BLOCK)
+            o = true_means[a] + sigma * noise[i][rows.index]
 
-        gap = o[:, None] - means.take(a, axis=0)
-        loglik = rows.loglik
-        loglik += scale * gap * gap
-        rows.counts.reshape(-1)[row_a + a] += 1
-        t += 1
-        rows.champion = champion = loglik.argmax(axis=1)
-        at_champion = row_k + champion
-        level = loglik.reshape(-1)[at_champion]
-        gamma = b * log(t) + c
+            gap = o[:, None] - means.take(a, axis=0)
+            loglik = rows.loglik
+            loglik += scale * gap * gap
+            rows.counts.reshape(-1)[row_a + a] += 1
+            t += 1
+            loglik.argmax(axis=1, out=champion)
+            at_champion = row_k + champion
+            lead = loglik.reshape(-1)[at_champion]
+            beta = rows.level + (b * log(t) + c)
 
-        # stopped stays None when no row can stop this step.
-        stopped = removed = None
-        if eliminating:
-            # Only the champion's set shrinks, and a trial stops the step its
-            # set empties, so only a row that eliminated can stop.
-            active = rows.active.reshape(-1, k)
-            act = active[at_champion]
-            removed = act & (level[:, None] - loglik >= (rows.elim_level + gamma)[:, None])
-            if removed.any():
-                fired = removed.any(axis=1).nonzero()[0]
-                left = act[fired] & ~removed[fired]
-                active[at_champion[fired]] = left
-                stopped = np.zeros(len(row_k), dtype=bool)
-                stopped[fired] = ~left.any(axis=1)
-                if kind == "FullElim":
-                    rows.tracked[fired] = -1
-        else:
-            # min over g of (level - loglik[g]) is level - max over g of
-            # loglik[g]: rounding is monotone.
-            others = loglik.copy()
-            others.reshape(-1)[at_champion] = -np.inf
-            rows.rival = others.argmax(axis=1)
-            stopped = level - others.reshape(-1)[row_k + rows.rival] >= rows.stop_level + gamma
+            # stopped stays None when no row can stop this step.
+            stopped = None
+            if s:
+                # min over g of (lead - loglik[g]) is lead - max over g of
+                # loglik[g]: rounding is monotone.
+                others = stop_loglik.copy()
+                others.reshape(-1)[at_champion[:s]] = -np.inf
+                others.argmax(axis=1, out=rival)
+                stop = lead[:s] - others.reshape(-1)[stop_k + rival] >= beta[:s]
+                if np.count_nonzero(stop):
+                    stopped = np.zeros(n, dtype=bool)
+                    stopped[:s] = stop
+            if s < n:
+                # Only the champion's set shrinks, and a trial stops the step
+                # its set empties, so only a row that eliminated can stop.
+                active = rows.active.reshape(-1, k)
+                at = at_champion[s:]
+                act = active[at]
+                removed = act & (lead[s:, None] - loglik[s:] >= beta[s:, None])
+                if np.count_nonzero(removed):
+                    fired = removed.any(axis=1).nonzero()[0]
+                    left = act[fired] & ~removed[fired]
+                    active[at[fired]] = left
+                    fired += s
+                    if stopped is None:
+                        stopped = np.zeros(n, dtype=bool)
+                    stopped[fired] = ~left.any(axis=1)
+                    rows.tracked[fired[fired >= f]] = -1
 
-        if trace is not None:
-            _record_round(trace, env, first, cache, t, rows, full_opponents,
-                          removed[0].nonzero()[0].tolist() if eliminating else [])
+            if trace is not None:
+                _record_round(trace, env, first, cache, t, rows, full_opponents,
+                              removed[0].nonzero()[0].tolist() if s < n else [])
 
-        if t >= max_steps:
-            done = np.ones(len(row_k), dtype=bool)
-        elif stopped is None or not stopped.any():
-            continue
-        else:
-            done = stopped
-        for r in done.nonzero()[0].tolist():
-            ch = int(champion[r])
-            results[rows.index[r]] = TrialResult(
-                tau=t, recommendation=ch, correct=ch == true_h,
-                timed_out=stopped is None or not stopped[r], diagnostics=trace,
-            )
-        if done.all():
-            break
-        rows.keep(~done)
-        row_k = np.arange(len(rows.index)) * k
-        row_a = np.arange(len(rows.index)) * num_actions
+            if t >= max_steps:
+                done = rows.live
+            elif stopped is None:
+                continue
+            else:
+                done = stopped
+            finished = done.nonzero()[0].tolist()
+            for r in finished:
+                ch = int(champion[r])
+                results[rows.index[r]] = TrialResult(
+                    tau=t, recommendation=ch, correct=ch == true_h,
+                    timed_out=stopped is None or not stopped[r], diagnostics=trace,
+                )
+            if not finished:
+                continue
+            running -= len(finished)
+            rows.live[done] = False
+            rows.level[done] = np.inf
+            # Finished rows are compacted out once they are a fixed share of
+            # the batch, or once a kind slice has no running row left, so
+            # that the slice's rule stops running.
+            slices = ((0, g), (g, s), (s, f), (f, n))
+            compact = (not running or n - running >= n * _COMPACT_SHARE
+                       or not all(rows.live[lo:hi].any() for lo, hi in slices if lo < hi))
+        g, s, f = [int(np.count_nonzero(rows.live[:end])) for end in (g, s, f)]
+        rows.keep(rows.live)
+        n = running
 
     if trace is not None:
         result = results[0]
@@ -528,7 +574,8 @@ def _record_round(trace, env, cfg, cache, t, rows, full_opponents, removed):
     trace.events.append(removed)
     if survivors:
         _, rate = cache.target(ch, survivors)
-        emp = min(float(np.dot(alloc, env.kl_table[:, ch, g])) for g in survivors)
+        weights = np.array(alloc)
+        emp = min(float(np.dot(weights, env.kl_table[:, ch, g])) for g in survivors)
         trace.oracle_rate.append(rate)
         trace.empirical_rate.append(emp)
     else:

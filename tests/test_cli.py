@@ -88,6 +88,7 @@ CLI_SURFACE = {
     },
     "diagnose": {
         **_ENV, **_RUN,
+        "--policy": ("FullElim", False, None, ("Greedy", "TaS", "StopElim", "FullElim")),
         "--delta": (0.1, False, "float", None),
         "--alpha": (1.0, False, "float", None),
         "--out": (None, True, None, None),
@@ -283,6 +284,22 @@ class TestDiagnose:
         meta = json.loads(out_path.read_text())["meta"]
         for key in ("tau", "recommendation", "correct", "timed_out"):
             assert meta[key] == trial[key]
+
+    @pytest.mark.parametrize("policy", ["Greedy", "TaS", "StopElim", "FullElim"])
+    def test_policy_outcome_matches_trial(self, capsys, tmp_path, policy):
+        flags = ["--env", "hard-weak", "--policy", policy, "--delta", "0.05",
+                 "--alpha", "0.5", "--seed", "13"]
+        code, out, _ = run_cli(capsys, ["trial", *flags])
+        assert code == EXIT_OK
+        trial = json.loads(out)
+        out_path = tmp_path / "trace.json"
+        assert run_cli(capsys, ["diagnose", *flags, "--out", str(out_path),
+                                "--plot-dir", str(tmp_path / "plots")])[0] == EXIT_OK
+        trace = json.loads(out_path.read_text())
+        assert trace["meta"]["policy"] == policy
+        assert trace["t"][-1] == trial["tau"]
+        for key in ("tau", "recommendation", "correct", "timed_out"):
+            assert trace["meta"][key] == trial[key]
 
     def test_capped_trace(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from activeht import (
+    POLICY_KINDS,
     OracleCache,
     PolicyConfig,
     ctrack_select,
@@ -336,28 +337,57 @@ class TestRunTrial:
 
 
 def _mixed_batch(kind, seeds, max_steps):
-    """Configs that vary delta and alpha from trial to trial."""
-    cfgs = [PolicyConfig(kind=kind, delta=(0.2, 0.05)[i % 2], alpha=(1.0, 0.5)[i // 2 % 2],
-                         max_steps=max_steps)
+    """Configs that vary delta and alpha from trial to trial.  Kind "mixed"
+    interleaves all four kinds in a shuffled order."""
+    seeds = list(seeds)
+    kinds = [kind] * len(seeds)
+    if kind == "mixed":
+        kinds = np.random.default_rng(len(seeds)).permutation(
+            [POLICY_KINDS[i % 4] for i in range(len(seeds))]).tolist()
+    cfgs = [PolicyConfig(kind=kinds[i], delta=(0.2, 0.05)[i % 2],
+                         alpha=(1.0, 0.5)[i // 2 % 2], max_steps=max_steps)
             for i in range(len(seeds))]
-    return cfgs, list(seeds)
+    return cfgs, seeds
+
+
+def _outcomes(results):
+    return [(r.tau, r.recommendation, r.timed_out) for r in results]
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim"])
+    @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim", "mixed"])
     @pytest.mark.parametrize("name", ["skewed", "hard-weak", "degenerate"])
     def test_matches_step_function_replay(self, request, caches, kind, name):
         env = request.getfixturevalue(name.replace("-", "_"))
         # A short cap times most of the first 100 trials out; the rest run
-        # under a cap that few reach.
-        for first, max_steps in ((BASE_SEED, 60), (BASE_SEED + 100, 800)):
+        # under a cap that few reach.  A mixed batch also runs uncapped where
+        # every kind stops (Greedy deadlocks on degenerate).
+        runs = [(BASE_SEED, 60), (BASE_SEED + 100, 800)]
+        if kind == "mixed" and name != "degenerate":
+            runs.append((BASE_SEED + 200, PolicyConfig.max_steps))
+        for first, max_steps in runs:
             cfgs, seeds = _mixed_batch(kind, range(first, first + 100), max_steps)
             got = run_trials(env, 0, cfgs, seeds, cache=caches[name])
             expected = [replay(env, 0, cfg, s, caches[name]) for cfg, s in zip(cfgs, seeds)]
-            assert [(r.tau, r.recommendation, r.timed_out) for r in got] == expected
+            assert _outcomes(got) == expected
             assert all(r.correct == (r.recommendation == 0) for r in got)
             if max_steps == 60:
                 assert any(r.timed_out for r in got)
+
+    def test_greedy_outlives_the_other_kinds_in_a_mixed_batch(self, degenerate, caches):
+        # Greedy deadlocks on degenerate and runs to the cap long after every
+        # other kind has stopped, so its slice runs alone after the others
+        # are compacted out.
+        cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED, BASE_SEED + 24), 20_000)
+        got = run_trials(degenerate, 0, cfgs, seeds, cache=caches["degenerate"])
+        expected = [replay(degenerate, 0, cfg, s, caches["degenerate"])
+                    for cfg, s in zip(cfgs, seeds)]
+        assert _outcomes(got) == expected
+        greedy = [r for cfg, r in zip(cfgs, got) if cfg.kind == "Greedy"]
+        others = [r for cfg, r in zip(cfgs, got) if cfg.kind != "Greedy"]
+        assert any(r.timed_out for r in greedy)
+        assert not any(r.timed_out for r in others)
+        assert max(r.tau for r in others) < 20_000 // 4
 
     @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim"])
     def test_recorded_rounds_match_the_replay_state(self, hard_weak, kind):
@@ -373,18 +403,21 @@ class TestLockstep:
                 trace = run_trial(env, true_h, cfg, seed, record_diagnostics=True).diagnostics
                 assert list(zip(trace.t, trace.champion, trace.counts, trace.target_avg)) == rounds
 
-    @pytest.mark.parametrize("kind", ["Greedy", "FullElim"])
+    @pytest.mark.parametrize("kind", ["Greedy", "FullElim", "mixed"])
     def test_results_do_not_depend_on_the_partition(self, hard_weak, kind):
-        cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 24), 300)
-        whole = run_trials(hard_weak, 1, cfgs, seeds)
-        order = np.random.default_rng(BASE_SEED).permutation(len(seeds))
-        split = [None] * len(seeds)
-        for part in np.array_split(order, 5):
-            for j, r in zip(part, run_trials(hard_weak, 1, [cfgs[j] for j in part],
-                                             [seeds[j] for j in part])):
-                split[j] = r
-        alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
-        assert whole == split == alone
+        # A mixed batch also runs uncapped.
+        caps = (300, PolicyConfig.max_steps) if kind == "mixed" else (300,)
+        for max_steps in caps:
+            cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 24), max_steps)
+            whole = run_trials(hard_weak, 1, cfgs, seeds)
+            order = np.random.default_rng(BASE_SEED).permutation(len(seeds))
+            split = [None] * len(seeds)
+            for part in np.array_split(order, 5):
+                for j, r in zip(part, run_trials(hard_weak, 1, [cfgs[j] for j in part],
+                                                 [seeds[j] for j in part])):
+                    split[j] = r
+            alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
+            assert whole == split == alone
 
     def test_results_are_python_values(self, skewed):
         r = run_trials(skewed, 0, [PolicyConfig(kind="TaS", delta=0.1)], [3])[0]
@@ -395,8 +428,6 @@ class TestLockstep:
     def test_bad_batches_rejected(self, skewed):
         tas = PolicyConfig(kind="TaS", delta=0.1)
         assert run_trials(skewed, 0, [], []) == []
-        with pytest.raises(ValueError):
-            run_trials(skewed, 0, [tas, PolicyConfig(kind="FullElim", delta=0.1)], [1, 2])
         with pytest.raises(ValueError):
             run_trials(skewed, 0, [tas, PolicyConfig(kind="TaS", delta=0.1, b=0.5)], [1, 2])
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,6 +16,7 @@ from activeht import (
     summary_to_csv,
     trial_seed,
 )
+from activeht import harness
 from activeht.harness import CSV_HEADER, read_summary_csv, write_summary_csv
 
 from conftest import BASE_SEED
@@ -206,6 +208,38 @@ class TestSweeps:
             trials=8, base_seed=BASE_SEED, workers=workers)) for workers in (1, 2)]
         assert used == ["spawn"]
         assert rows[0] == rows[1]
+
+
+class TestRowCap:
+    def test_batches_are_capped_and_cover_every_worker(self, monkeypatch, tmp_path):
+        # One trial more per cell than ROW_CAP trials spread over the 8 cells.
+        sizes = {}
+        batch_map = harness._batch_map
+
+        @contextmanager
+        def recording_map(env, workers):
+            with batch_map(env, workers) as run:
+                def record(fn, jobs):
+                    sizes[workers] = [len(cfgs) for _, cfgs, _ in jobs]
+                    return run(fn, jobs)
+                yield record
+
+        monkeypatch.setattr(harness, "_batch_map", recording_map)
+        trials = harness.ROW_CAP // 8 + 1
+        csvs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.csv"
+            run_delta_sweep(ExperimentConfig(
+                environment="skewed", deltas=(0.3, 0.1), trials=trials,
+                base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        for workers, batch in sizes.items():
+            assert sum(batch) == 8 * trials > harness.ROW_CAP
+            assert max(batch) <= harness.ROW_CAP
+            assert len(batch) >= workers
+            assert max(batch) - min(batch) <= 1
+        assert len(sizes[3]) == 3
 
 
 def _recorded_trial(env, seed):
