@@ -1,4 +1,4 @@
-"""Single-trial execution of the four sequential identification policies.
+"""Lockstep execution of the four sequential identification policies.
 
 A trial maintains cumulative log-likelihoods for every hypothesis, a
 maximum-likelihood champion, per-candidate active-opponent sets, and a
@@ -45,8 +45,8 @@ and ``thresholds`` are the single-trial reference of the same rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import log, sqrt
+from dataclasses import dataclass, field, fields, replace
+from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -93,8 +93,10 @@ class PolicyConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.b > 0.0:
-            raise ValueError(f"threshold slope b must be positive, got {self.b}")
+        if not 0.0 < self.b < inf:
+            raise ValueError(f"threshold slope b must be positive and finite, got {self.b}")
+        if self.c is not None and not isfinite(self.c):
+            raise ValueError(f"threshold offset c must be finite, got {self.c}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -291,21 +293,10 @@ class DiagnosticsTrace:
     events: list[list[int]] = field(default_factory=list)
 
     def to_document(self) -> dict:
-        doc = {
-            "meta": self.meta,
-            "t": self.t,
-            "champion": self.champion,
-            "active_set": self.active_set,
-            "alloc": self.alloc,
-            "counts": self.counts,
-            "target_avg": self.target_avg,
-            "min_Z": self.min_z,
-            "beta_elim": self.beta_elim,
-            "oracle_rate": self.oracle_rate,
-            "empirical_rate": self.empirical_rate,
-            "events": self.events,
-        }
-        return doc
+        # Shares the lists: asdict's deep copy doubled `diagnose` time on a
+        # 20,000-round trace.
+        return {("min_Z" if f.name == "min_z" else f.name): getattr(self, f.name)
+                for f in fields(self)}
 
 
 def run_trial(
@@ -511,7 +502,7 @@ def run_trials(
                     rows.tracked[fired[fired >= f]] = -1
 
             if trace is not None:
-                _record_round(trace, env, first, cache, t, rows, full_opponents,
+                _record_round(trace, env, first, cache, t, rows,
                               removed[0].nonzero()[0].tolist() if s < n else [])
 
             if t >= max_steps:
@@ -549,22 +540,20 @@ def run_trials(
     return results
 
 
-def _record_round(trace, env, cfg, cache, t, rows, full_opponents, removed):
+def _record_round(trace, env, cfg, cache, t, rows, removed):
     """Append the round of row 0; ``min_z`` is taken over the set the stop
-    rule saw, the survivors plus this round's removals (or every opponent)."""
+    rule saw, the survivors plus this round's removals.  Greedy and TaS rows
+    never eliminate, so their survivors are every opponent."""
     ch = int(rows.champion[0])
     loglik = rows.loglik[0].tolist()
     counts = rows.counts[0].tolist()
     level = loglik[ch]
-    if cfg.kind in ("StopElim", "FullElim"):
-        survivors = rows.active[0, ch].nonzero()[0].tolist()
-        pre_set = survivors + removed
-    else:
-        survivors = pre_set = full_opponents[ch]
+    survivors = rows.active[0, ch].nonzero()[0].tolist()
+    pre_set = survivors + removed
     _, beta_elim = thresholds(t, cfg)
     trace.t.append(t)
     trace.champion.append(ch)
-    trace.active_set.append(list(survivors))
+    trace.active_set.append(survivors)
     alloc = [n / t for n in counts]
     trace.alloc.append(alloc)
     trace.counts.append(counts)

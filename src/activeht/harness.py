@@ -211,7 +211,7 @@ def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
 
     The trials, in cell order, are split into near-equal contiguous lockstep
     batches of at most ``ROW_CAP`` rows, one per worker at least (while
-    there are enough trials).
+    there are enough trials); the pool opens no more workers than batches.
     """
     env = resolve_environment(ecfg.environment)
     cfgs, seeds = [], []
@@ -223,7 +223,7 @@ def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
     bounds = [n * j // batches for j in range(batches + 1)]
     jobs = [(ecfg.true_h, cfgs[lo:hi], seeds[lo:hi])
             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    with _batch_map(env, ecfg.workers) as batch_map:
+    with _batch_map(env, min(ecfg.workers, len(jobs))) as batch_map:
         results = [r for part in batch_map(_run_batch, jobs) for r in part]
     rows = [aggregate(results[j * ecfg.trials:(j + 1) * ecfg.trials], environment=env.name,
                       policy=kind, delta=delta, alpha=alpha)

@@ -35,7 +35,8 @@ class Environment:
     """Immutable problem instance.
 
     Attributes:
-        name: human-readable label, carried into result tables.
+        name: human-readable label, carried into result tables as a CSV
+            field, so it holds no comma or line break.
         means: per-action observation means, ``means[a][h]``; tuple of rows.
         sigma: common observation noise standard deviation (> 0).
     """
@@ -45,6 +46,9 @@ class Environment:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if any(ch in self.name for ch in ",\n\r"):
+            raise MalformedDocumentError(
+                f"environment name {self.name!r} must not contain a comma or line break")
         if not self.means or not self.means[0]:
             raise MalformedDocumentError("means matrix must be non-empty")
         width = len(self.means[0])

@@ -6,10 +6,11 @@ worst-case information rate of an action allocation ``w`` is the smallest
 maximizes that rate over the action simplex; the optimum is the speed limit
 for accumulating evidence against the hardest opponent.
 
-The optimizer is an equivalent linear program solved by a small dense
-two-phase simplex method with Bland's anti-cycling pivot rule, so results
-are deterministic for fixed inputs.  ``grid_oracle`` is an independent
-brute-force check used by the test suite; it never feeds the solver.
+The optimizer solves the equivalent linear program on its own dense
+two-phase simplex tableau, phase 2 without the artificial columns, with
+Bland's anti-cycling pivot rule, so results are deterministic for fixed
+inputs.  ``grid_oracle`` is an independent brute-force check used by the
+test suite; it never feeds the solver.
 """
 
 from __future__ import annotations
@@ -112,43 +113,26 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     # Variables x = (w_0..w_{A-1}, z, s_g...), all nonnegative:
     #   sum_a d_a(h,g) w_a - z - s_g = 0   for each opponent g
     #   sum_a w_a = 1
-    # maximized over z.  z >= 0 is valid because divergences are nonnegative.
-    n_opp = len(opponents)
-    n_var = num_actions + 1 + n_opp
-    a_eq = np.zeros((n_opp + 1, n_var))
-    b_eq = np.zeros(n_opp + 1)
-    a_eq[:n_opp, :num_actions] = d[:, h, opponents].T
-    a_eq[:n_opp, num_actions] = -1.0
-    a_eq[:n_opp, num_actions + 1:] = -np.eye(n_opp)
-    a_eq[n_opp, :num_actions] = 1.0
-    b_eq[n_opp] = 1.0
-    cost = np.zeros(n_var)
-    cost[num_actions] = -1.0
-    x = _simplex_min(cost, a_eq, b_eq)
-    w = np.clip(x[:num_actions], 0.0, None)
-    w /= w.sum()
-    return tuple(float(v) for v in w)
-
-
-def _simplex_min(cost, a_eq, b_eq, max_iter: int = 10_000) -> np.ndarray:
-    """Minimize cost @ x subject to a_eq x = b_eq, x >= 0.
-
-    Dense tableau, two phases, Bland's rule throughout (entering: lowest
-    eligible column index; leaving: lowest basic-variable index among the
-    minimum-ratio rows), so the pivot sequence is fully deterministic.
-    """
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    m, n = a.shape
-
-    tab = np.hstack([a, np.eye(m)])
-    rhs = b.copy()
+    # maximized over z, i.e. cost -z minimized.  z >= 0 is valid because
+    # divergences are nonnegative, and the right-hand side is 0/1, so the
+    # phase-1 tableau [A | I] starts feasible on the m artificial columns.
+    # Bland's rule runs throughout (entering: lowest eligible column index;
+    # leaving: lowest basic-variable index among the minimum-ratio rows), so
+    # the pivot sequence is fully deterministic.
+    m = len(opponents) + 1
+    z = num_actions
+    n = z + m
+    tab = np.zeros((m, n + m))
+    tab[:-1, :z] = d[:, h, opponents].T
+    tab[:-1, z] = -1.0
+    tab[:-1, z + 1:n] = -np.eye(m - 1)
+    tab[-1, :z] = 1.0
+    tab[:, n:] = np.eye(m)
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
     basis = list(range(n, n + m))
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland_iterate(tab, rhs, basis, phase1_cost, n + m, max_iter)
+    _bland_iterate(tab, rhs, basis, phase1_cost)
     if float(phase1_cost[basis] @ rhs) > 1e-7:
         raise OracleError("max-min program reported infeasible (solver bug)")
 
@@ -163,27 +147,26 @@ def _simplex_min(cost, a_eq, b_eq, max_iter: int = 10_000) -> np.ndarray:
             continue
         _pivot(tab, rhs, basis, i, int(cols[0]))
         keep.append(i)
-    if len(keep) < m:
-        tab = tab[keep]
-        rhs = rhs[keep]
-        basis = [basis[i] for i in keep]
 
-    # Artificial columns keep zero cost and can never re-enter: phase 2 only
-    # considers the first n columns for entering variables.
-    phase2_cost = np.zeros(tab.shape[1])
-    phase2_cost[:n] = cost
-    _bland_iterate(tab, rhs, basis, phase2_cost, n, max_iter)
+    # The artificial columns have left the basis for good: phase 2 runs on
+    # the first n columns only.
+    tab = tab[keep, :n]
+    rhs = rhs[keep]
+    basis = [basis[i] for i in keep]
+    cost = np.zeros(n)
+    cost[z] = -1.0
+    _bland_iterate(tab, rhs, basis, cost)
 
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = rhs[i]
-    return x
+    x[basis] = rhs
+    w = np.clip(x[:num_actions], 0.0, None)
+    w /= w.sum()
+    return tuple(float(v) for v in w)
 
 
-def _bland_iterate(tab, rhs, basis, cost, allowed_cols, max_iter):
-    for _ in range(max_iter):
-        reduced = cost[:allowed_cols] - cost[basis] @ tab[:, :allowed_cols]
+def _bland_iterate(tab, rhs, basis, cost):
+    for _ in range(10_000):
+        reduced = cost - cost[basis] @ tab
         improving = (reduced < -PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return

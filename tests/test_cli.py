@@ -122,6 +122,9 @@ class TestParserSurface:
         assert table == CLI_SURFACE[command]
 
 
+SMALL_SWEEP = ["--trials", "1", "--deltas", "0.1", "--policies", "TaS", "--max-steps", "50"]
+
+
 class TestValidationRules:
     """Each out-of-range value exits 3 and names the rejected field."""
 
@@ -144,6 +147,19 @@ class TestValidationRules:
         (["diagnose", "--max-steps", "0"], "max_steps"),
         (["exp1", "--policies", "TaS,TaS"], "policies"),
         (["exp2", "--alphas", "0.5,0.5"], "alphas"),
+        # Small runs, so that an accepted value fails fast instead of running
+        # to the cap.
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--c", "nan", "--max-steps", "50"],
+         "offset c"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--c=-inf"], "offset c"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--b", "inf", "--max-steps", "50"],
+         "slope b"),
+        (["exp1", "--c", "nan", *SMALL_SWEEP], "offset c"),
+        (["diagnose", "--b", "inf", "--max-steps", "50"], "slope b"),
+        # A later --env overrides the default one.  A comma in the name would
+        # split its CSV row.
+        (["exp1", "--env", '{"name": "a,b", "means": [[0.1, 0.9], [0.4, 0.2]]}', *SMALL_SWEEP],
+         "environment name"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv

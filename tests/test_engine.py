@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -39,6 +41,11 @@ class TestPolicyConfig:
         {"kind": "TaS", "delta": 0.1, "alpha": 1.2},
         {"kind": "TaS", "delta": 0.1, "b": 0.0},
         {"kind": "TaS", "delta": 0.1, "max_steps": 0},
+        {"kind": "TaS", "delta": 0.1, "b": math.inf},
+        {"kind": "TaS", "delta": 0.1, "b": math.nan},
+        {"kind": "TaS", "delta": 0.1, "c": math.nan},
+        {"kind": "TaS", "delta": 0.1, "c": math.inf},
+        {"kind": "TaS", "delta": 0.1, "c": -math.inf},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -438,3 +445,34 @@ class TestLockstep:
             run_trials(skewed, 0, [tas, tas], [1, 2], record_diagnostics=True)
         with pytest.raises(IndexError):
             run_trials(skewed, 5, [tas], [1])
+
+
+# SHA-256 of the JSON trace document of one recorded trial per setting and kind.
+PINNED_TRACE_SHA256 = {
+    "hard-weak": {
+        "Greedy": "dfa70a9157b6a732484e4db9a25c0216bcd3c1cf7ec6d5a6327207a09ceb9db8",
+        "TaS": "cb786c34c374b05ea81c43578b97b05de09b46617b9c6b5386f9e48080802c80",
+        "StopElim": "6d68a9599abcf43a822f0286476e40a9c6a6ba88687c6912815d6db50cba2204",
+        "FullElim": "0dcd96a47cebfc40ec2491eefec0d4d241761e33d04089c4afa04e3deb933715",
+    },
+    "degenerate": {
+        "Greedy": "ce58a226327dc7e7fb43acf334db1f3ac5053e1b75ca8fc016e1b15208851f5b",
+        "TaS": "fe2338faacf1b073beaeb9ecfa601f6a6c65d6b2dcc4997fc0afefedabf71f1a",
+        "StopElim": "9072a484d4640ebc7931ff9df2f1e61455405cd283ae0c4e953a5b3ecd2963d4",
+        "FullElim": "99d8272c516d5a3b8150b31d86c12f35b6d5e0ef6cf7023a07c40b952354d8ed",
+    },
+}
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_trace_bytes_match_pinned_digest(self, hard_weak, degenerate, kind):
+        # degenerate runs to its cap under Greedy, so its trials are capped.
+        runs = {
+            "hard-weak": (hard_weak, 2, PolicyConfig(kind=kind, delta=0.1, alpha=0.5), 3),
+            "degenerate": (degenerate, 0, PolicyConfig(kind=kind, delta=0.1, max_steps=200), 0),
+        }
+        for name, (env, true_h, cfg, seed) in runs.items():
+            trace = run_trial(env, true_h, cfg, seed, record_diagnostics=True).diagnostics
+            text = json.dumps(trace.to_document())
+            assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256[name][kind]

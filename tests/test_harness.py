@@ -210,21 +210,27 @@ class TestSweeps:
         assert rows[0] == rows[1]
 
 
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """(pool size, batch sizes) of each sweep's ``_batch_map`` call."""
+    calls = []
+    batch_map = harness._batch_map
+
+    @contextmanager
+    def recording_map(env, workers):
+        with batch_map(env, workers) as run:
+            def record(fn, jobs):
+                calls.append((workers, [len(cfgs) for _, cfgs, _ in jobs]))
+                return run(fn, jobs)
+            yield record
+
+    monkeypatch.setattr(harness, "_batch_map", recording_map)
+    return calls
+
+
 class TestRowCap:
-    def test_batches_are_capped_and_cover_every_worker(self, monkeypatch, tmp_path):
+    def test_batches_are_capped_and_cover_every_worker(self, batch_calls, tmp_path):
         # One trial more per cell than ROW_CAP trials spread over the 8 cells.
-        sizes = {}
-        batch_map = harness._batch_map
-
-        @contextmanager
-        def recording_map(env, workers):
-            with batch_map(env, workers) as run:
-                def record(fn, jobs):
-                    sizes[workers] = [len(cfgs) for _, cfgs, _ in jobs]
-                    return run(fn, jobs)
-                yield record
-
-        monkeypatch.setattr(harness, "_batch_map", recording_map)
         trials = harness.ROW_CAP // 8 + 1
         csvs = []
         for workers in (1, 2, 3):
@@ -234,12 +240,26 @@ class TestRowCap:
                 base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
-        for workers, batch in sizes.items():
+        assert [workers for workers, _ in batch_calls] == [1, 2, 3]
+        for workers, batch in batch_calls:
             assert sum(batch) == 8 * trials > harness.ROW_CAP
             assert max(batch) <= harness.ROW_CAP
             assert len(batch) >= workers
             assert max(batch) - min(batch) <= 1
-        assert len(sizes[3]) == 3
+        assert len(batch_calls[2][1]) == 3
+
+    def test_pool_opens_no_more_workers_than_batches(self, batch_calls, tmp_path):
+        # At 3 workers, one cell of 1 or 2 trials makes only 1 or 2 batches.
+        for trials in (1, 2):
+            csvs = []
+            for workers in (1, 3):
+                out = tmp_path / f"t{trials}w{workers}.csv"
+                run_delta_sweep(ExperimentConfig(
+                    environment="skewed", policies=("TaS",), deltas=(0.1,), trials=trials,
+                    base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
+                csvs.append(out.read_bytes())
+            assert csvs[0] == csvs[1]
+        assert batch_calls == [(1, [1]), (1, [1]), (1, [2]), (2, [1, 1])]
 
 
 def _recorded_trial(env, seed):

@@ -64,6 +64,10 @@ def test_fully_indistinct_hypothesis_rejected_even_relaxed():
     {"name": "x", "means": [[0.1, 0.2]], "sigma": 0.0},
     {"name": "x", "means": [[0.1, 0.2]], "sigma": -1.0},
     {"name": "x", "means": [[0.1, 0.2], [0.2, 0.1]], "num_actions": 3},
+    # the name is a summary-CSV field
+    {"name": "a,b", "means": [[0.1, 0.2]]},
+    {"name": "a\nb", "means": [[0.1, 0.2]]},
+    {"name": "a\rb", "means": [[0.1, 0.2]]},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(MalformedDocumentError):
