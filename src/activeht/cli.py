@@ -15,17 +15,16 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .engine import DEFAULT_B, POLICY_KINDS, PolicyConfig, run_trial
+from .engine import DEFAULT_B, DEFAULT_C_OFFSET, POLICY_KINDS, PolicyConfig, run_trial
 from .harness import (
     ALPHA_GRID,
     DELTA_GRID,
     ExperimentConfig,
-    run_alpha_sweep,
-    run_delta_sweep,
+    run_sweep,
     summary_to_csv,
 )
-from .model import ModelError, PRESET_NAMES, load_environment
-from .oracle import OracleError, oracle_allocation
+from .model import PRESET_NAMES, load_environment
+from .oracle import oracle_allocation
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--seed", type=int, default=0)
     run_flags.add_argument("--b", type=float, default=DEFAULT_B, help="threshold slope")
     run_flags.add_argument("--c", type=float, default=None,
-                           help="threshold offset (default log(K-1))")
+                           help=f"threshold offset (default log(K-1) - {-DEFAULT_C_OFFSET:g})")
     run_flags.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
     sweep_flags = argparse.ArgumentParser(add_help=False)
     sweep_flags.add_argument("--trials", type=int, default=1000)
@@ -177,42 +176,20 @@ def _cmd_trial(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args, *, policies, deltas, alphas) -> ExperimentConfig:
-    return ExperimentConfig(
-        environment=load_environment(args.env),
-        true_h=args.true_h,
-        policies=policies,
-        deltas=deltas,
-        alphas=alphas,
-        trials=args.trials,
-        base_seed=args.seed,
-        workers=args.workers,
-        out=args.out,
-        b=args.b,
-        c=args.c,
-        max_steps=args.max_steps,
-    )
-
-
-def _write_sweep_manifest(command: str, args, ecfg: ExperimentConfig) -> None:
-    _write_manifest(command, ecfg.out, {**asdict(ecfg), "environment": args.env,
-                                        "environment_sha256": ecfg.environment.sha256()})
-
-
-def _cmd_exp1(args) -> int:
-    policies = tuple(p for p in args.policies.split(",") if p)
-    ecfg = _experiment_config(args, policies=policies, deltas=tuple(args.deltas), alphas=(1.0,))
-    rows = run_delta_sweep(ecfg)
-    _write_sweep_manifest("exp1", args, ecfg)
-    print(summary_to_csv(rows), end="")
-    return EXIT_OK
-
-
-def _cmd_exp2(args) -> int:
-    ecfg = _experiment_config(args, policies=("FullElim",), deltas=(args.delta,),
-                              alphas=tuple(args.alphas))
-    rows = run_alpha_sweep(ecfg)
-    _write_sweep_manifest("exp2", args, ecfg)
+def _cmd_sweep(args) -> int:
+    """exp1 and exp2 differ only in the grids they build."""
+    if args.command == "exp1":
+        grids = dict(policies=tuple(p for p in args.policies.split(",") if p),
+                     deltas=tuple(args.deltas), alphas=(1.0,))
+    else:
+        grids = dict(policies=("FullElim",), deltas=(args.delta,), alphas=tuple(args.alphas))
+    ecfg = ExperimentConfig(
+        environment=load_environment(args.env), true_h=args.true_h, **grids,
+        trials=args.trials, base_seed=args.seed, workers=args.workers, out=args.out,
+        b=args.b, c=args.c, max_steps=args.max_steps)
+    rows = run_sweep(ecfg)
+    _write_manifest(args.command, args.out, {**asdict(ecfg), "environment": args.env,
+                                             "environment_sha256": ecfg.environment.sha256()})
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
@@ -284,8 +261,8 @@ _COMMANDS = {
     "env": _cmd_env,
     "solve-oracle": _cmd_solve_oracle,
     "trial": _cmd_trial,
-    "exp1": _cmd_exp1,
-    "exp2": _cmd_exp2,
+    "exp1": _cmd_sweep,
+    "exp2": _cmd_sweep,
     "diagnose": _cmd_diagnose,
 }
 
@@ -301,7 +278,8 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, OracleError, ValueError, IndexError) as exc:
+    # ModelError and OracleError subclass ValueError.
+    except (ValueError, IndexError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -61,7 +61,6 @@ POLICY_KINDS = ("Greedy", "TaS", "StopElim", "FullElim")
 # (see tests) and can be overridden per run.  c defaults to the union-bound
 # offset log(K - 1) plus a calibrated shift.
 DEFAULT_B = 0.8
-DEFAULT_C = None
 DEFAULT_C_OFFSET = -1.7863
 
 _RNG_BLOCK = 512
@@ -83,7 +82,7 @@ class PolicyConfig:
     delta: float
     alpha: float = 1.0
     b: float = DEFAULT_B
-    c: float | None = DEFAULT_C
+    c: float | None = None
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -452,8 +451,10 @@ def run_trials(
                 target += (weights + eta) / (1.0 + num_actions * eta)
                 a = (target - tracking_counts).argmax(axis=1)
             if g:
-                greedy = (np.zeros(g, dtype=np.intp) if t == 0
-                          else env.best_action[greedy_champion, greedy_rival])
+                # At t = 0 champion and rival are still 0, and
+                # best_action[0, 0] is action 0 (kl_table[:, 0, 0] is all
+                # zero and argmax takes the first index): the first pull.
+                greedy = env.best_action[greedy_champion, greedy_rival]
                 a = greedy if g == n else np.concatenate((greedy, a))
 
             i = t % _RNG_BLOCK

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo experiment driver: sweeps, aggregation, result tables.
+"""Seeded Monte Carlo driver: one grid sweep, aggregation, result tables.
 
 Every trial draws its seed from a stable 64-bit mix of (policy, delta,
 alpha, trial index) XOR the base seed, so any cell can be reproduced in
@@ -44,19 +44,20 @@ CSV_HEADER = "environment,policy,delta,alpha,mean_tau,stderr_tau,error_rate,time
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs.
+    """Everything a sweep needs.  Its cells are every (policy, delta, alpha)
+    of the three grids; the default grids are the confidence sweep's.
 
-    The per-trial rules (policy, delta, alpha, b, max_steps) live in
+    The per-trial rules (policy, delta, alpha, b, c, max_steps) live in
     ``PolicyConfig``; construction checks them by building the config of
-    every (policy, delta, alpha) cell of the grids.  Each grid entry is a
-    cell coordinate, so no grid may repeat an entry.
+    every cell, so the cells it checks are the cells ``run_sweep`` runs.
+    Each grid entry is a cell coordinate, so no grid may repeat an entry.
     """
 
     environment: str | Environment
     true_h: int = 0
     policies: tuple[str, ...] = POLICY_KINDS
     deltas: tuple[float, ...] = DELTA_GRID
-    alphas: tuple[float, ...] = ALPHA_GRID
+    alphas: tuple[float, ...] = (1.0,)
     trials: int = 1000
     base_seed: int = 0
     workers: int = 1
@@ -205,15 +206,16 @@ def _batch_map(env: Environment, workers: int):
         yield partial(pool.map, chunksize=1)
 
 
-def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
-    """Run every trial of ``cells`` and aggregate each cell's results in
-    trial-index order.
+def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
+    """One row per cell of ``product(policies, deltas, alphas)``, aggregated
+    from its trials in trial-index order.
 
     The trials, in cell order, are split into near-equal contiguous lockstep
     batches of at most ``ROW_CAP`` rows, one per worker at least (while
     there are enough trials); the pool opens no more workers than batches.
     """
     env = resolve_environment(ecfg.environment)
+    cells = list(product(ecfg.policies, ecfg.deltas, ecfg.alphas))
     cfgs, seeds = [], []
     for cell in cells:
         cfgs += [ecfg.policy_config(*cell)] * ecfg.trials
@@ -234,22 +236,9 @@ def _sweep(ecfg: ExperimentConfig, cells) -> list[SummaryRow]:
     return rows
 
 
-def run_delta_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
-    """One row per (policy, delta) cell at alpha = 1."""
-    cells = [(kind, delta, 1.0) for kind in ecfg.policies for delta in ecfg.deltas]
-    return _sweep(ecfg, cells)
-
-
-def run_alpha_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
-    """One row per alpha for the elimination-aware policy at a fixed delta.
-
-    The fixed delta is the first entry of ``ecfg.deltas``.  The alpha = 1
-    row reproduces the corresponding delta-sweep cell exactly: the per-trial
-    seeds depend on (policy, delta, alpha, index) only.
-    """
-    delta = ecfg.deltas[0]
-    cells = [("FullElim", delta, alpha) for alpha in ecfg.alphas]
-    return _sweep(ecfg, cells)
+# perfbench/layers.py imports this name; ROADMAP item 2 drops it when that
+# script is re-aimed at run_sweep.
+run_delta_sweep = run_sweep
 
 
 def summary_to_csv(rows) -> str:

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,14 @@ class Environment:
             raise MalformedDocumentError("means matrix contains non-finite entries")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise MalformedDocumentError(f"sigma must be positive, got {self.sigma}")
+        # The likelihoods scale by -0.5 / sigma**2 and the divergences divide
+        # by 2 sigma**2.  var is tested first: float division by 0 raises.
+        var = self.sigma * self.sigma
+        if not (0 < var < inf and 0 < 0.5 / var < inf):
+            raise MalformedDocumentError(
+                f"sigma {self.sigma} is out of range: sigma**2 or 0.5/sigma**2 is 0 or overflows")
+        if not np.isfinite(self.kl_table).all():
+            raise MalformedDocumentError("means gaps overflow the divergence table")
 
     @property
     def num_actions(self) -> int:
@@ -78,8 +87,9 @@ class Environment:
         """Read-only divergence tensor: ``[a, h, g]`` holds d_a(h, g) in nats
         per draw.  Built once per environment."""
         mu = self.means_array
-        gaps = mu[:, :, None] - mu[:, None, :]
-        values = gaps**2 / (2.0 * self.sigma**2)
+        with np.errstate(over="ignore"):
+            gaps = mu[:, :, None] - mu[:, None, :]
+            values = gaps**2 / (2.0 * self.sigma**2)
         values.setflags(write=False)
         return values
 

@@ -19,7 +19,7 @@ from activeht import (
     grid_oracle,
     load_environment,
     oracle_allocation,
-    run_delta_sweep,
+    run_sweep,
     run_trial,
     run_trials,
     trial_seed,
@@ -290,7 +290,7 @@ def test_criterion_9_worker_determinism(tmp_path):
     outputs = []
     for i, workers in enumerate((1, 8, 1)):
         out = tmp_path / f"cell{i}.csv"
-        run_delta_sweep(ExperimentConfig(
+        run_sweep(ExperimentConfig(
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
             trials=24, base_seed=BASE_SEED, workers=workers, out=str(out)))
         outputs.append(out.read_bytes())

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,9 @@ class TestValidationRules:
         # split its CSV row.
         (["exp1", "--env", '{"name": "a,b", "means": [[0.1, 0.9], [0.4, 0.2]]}', *SMALL_SWEEP],
          "environment name"),
+        # sigma**2 underflows to 0: the likelihood scale divided by it
+        (["trial", "--env", '{"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e-170}',
+          "--policy", "TaS", "--delta", "0.1"], "sigma"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv
@@ -264,6 +268,39 @@ class TestExperiments:
         # The path is the same for both runs; only the digest tells them apart.
         assert digests[0] != digests[1]
         assert digests[1] == load_environment(str(env_path)).sha256()
+
+
+class TestPinnedSweeps:
+    """SHA-256 digests of sweep CSVs and manifests (``out`` blanked).
+
+    A change to the sweep code that keeps these digests keeps the published
+    tables byte for byte: cell order, seeds, batching and formatting.
+    """
+
+    @pytest.mark.parametrize("argv, csv_digest, manifest_digest", [
+        (["exp1", "--env", "skewed", "--trials", "3"],
+         "afd4183bc2a26031e3e5467d9af242e51371caeed2d9e1a4d2cd6a0a1a9da257",
+         "3f3231f2ef33e9bf95692e9021b0582a75d662ae218da0a7484d256a86f196a3"),
+        # every trial times out at the 400-step cap: NaN rows
+        (["exp1", "--env", "degenerate", "--trials", "3", "--workers", "2",
+          "--max-steps", "400"],
+         "8e9279a245fd48a3931ca67dc3964128d7a67333a591f391858221f06407b1af",
+         "e2248aae5ef943ef521e6d83f70c4c444bc7c9d3a5b125f1d7d9973aa540689a"),
+        (["exp2", "--env", "hard-weak", "--trials", "3", "--workers", "2",
+          "--b", "0.7", "--c", "0.1"],
+         "e757cd8178e1f84dbb94b2316de8fbc91f34c42c01de5394eb540b51b54dee4b",
+         "a6e38c8fdda63d5f0eb236ce03b62754c34bfbfe574689ac63b0b532fcaf019c"),
+    ])
+    def test_digests(self, capsys, tmp_path, argv, csv_digest, manifest_digest):
+        out_path = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, [*argv, "--out", str(out_path)])
+        assert code == EXIT_OK
+        csv = out_path.read_text()
+        assert out == csv
+        manifest = (tmp_path / "out.csv.manifest.json").read_text()
+        manifest = manifest.replace(json.dumps(str(out_path)), '""')
+        assert hashlib.sha256(csv.encode()).hexdigest() == csv_digest
+        assert hashlib.sha256(manifest.encode()).hexdigest() == manifest_digest
 
 
 class TestDiagnose:

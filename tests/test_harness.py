@@ -4,14 +4,14 @@ from contextlib import contextmanager
 
 import pytest
 
+import activeht
 from activeht import (
     ExperimentConfig,
     PolicyConfig,
     SummaryRow,
     TrialResult,
     aggregate,
-    run_alpha_sweep,
-    run_delta_sweep,
+    run_sweep,
     run_trial,
     summary_to_csv,
     trial_seed,
@@ -113,7 +113,7 @@ class TestSweeps:
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
             trials=3, base_seed=BASE_SEED, out=str(out),
         )
-        rows = run_delta_sweep(ecfg)
+        rows = run_sweep(ecfg)
         assert len(rows) == 4
         assert [(r.policy, r.delta) for r in rows] == [
             ("FullElim", 0.5), ("FullElim", 0.3), ("TaS", 0.5), ("TaS", 0.3),
@@ -129,12 +129,22 @@ class TestSweeps:
             for r in rows
         ]
 
+    def test_sweep_runs_every_cell_of_the_grids(self):
+        rows = run_sweep(ExperimentConfig(
+            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
+            alphas=(1.0, 0.5), trials=2, base_seed=BASE_SEED))
+        assert [(r.policy, r.delta, r.alpha) for r in rows] == [
+            (kind, delta, alpha) for kind in ("FullElim", "TaS")
+            for delta in (0.5, 0.3) for alpha in (0.5, 1.0)]
+        assert ExperimentConfig(environment="skewed").alphas == (1.0,)
+        assert activeht.run_delta_sweep is activeht.run_sweep
+
     def test_alpha_sweep_alpha_one_row_matches_delta_sweep_cell(self):
         common = dict(environment="skewed", trials=25, base_seed=BASE_SEED)
-        d_rows = run_delta_sweep(ExperimentConfig(
+        d_rows = run_sweep(ExperimentConfig(
             policies=("FullElim",), deltas=(0.1,), **common))
-        a_rows = run_alpha_sweep(ExperimentConfig(
-            deltas=(0.1,), alphas=(0.5, 1.0), **common))
+        a_rows = run_sweep(ExperimentConfig(
+            policies=("FullElim",), deltas=(0.1,), alphas=(0.5, 1.0), **common))
         assert len(a_rows) == 2
         a_one = next(r for r in a_rows if r.alpha == 1.0)
         d_cell = d_rows[0]
@@ -144,7 +154,7 @@ class TestSweeps:
 
     def test_delta_sweep_alpha_one_error_within_pac_band(self, skewed):
         trials = 150
-        rows = run_delta_sweep(ExperimentConfig(
+        rows = run_sweep(ExperimentConfig(
             environment="skewed", policies=("FullElim",), deltas=(0.1,),
             trials=trials, base_seed=BASE_SEED))
         delta = 0.1
@@ -152,7 +162,7 @@ class TestSweeps:
         assert rows[0].error_rate <= band
 
     def test_elimination_beats_baseline_on_skewed(self):
-        rows = run_delta_sweep(ExperimentConfig(
+        rows = run_sweep(ExperimentConfig(
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.05,),
             trials=150, base_seed=BASE_SEED))
         by_policy = {r.policy: r for r in rows}
@@ -162,8 +172,8 @@ class TestSweeps:
         # Aggressive elimination trades reliability for speed: at the most
         # aggressive setting the error rate overshoots the nominal budget,
         # and the stopping time grows back as alpha approaches 1.
-        rows = run_alpha_sweep(ExperimentConfig(
-            environment="hard-weak", deltas=(0.1,), alphas=(0.2, 1.0),
+        rows = run_sweep(ExperimentConfig(
+            environment="hard-weak", policies=("FullElim",), deltas=(0.1,), alphas=(0.2, 1.0),
             trials=200, base_seed=BASE_SEED))
         by_alpha = {r.alpha: r for r in rows}
         assert by_alpha[0.2].error_rate > 0.1
@@ -174,7 +184,7 @@ class TestSweeps:
         csvs = []
         for i, workers in enumerate((1, 1, 3)):
             out = tmp_path / f"run{i}.csv"
-            run_delta_sweep(ExperimentConfig(
+            run_sweep(ExperimentConfig(
                 environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
                 trials=12, base_seed=BASE_SEED, workers=workers, out=str(out)))
             csvs.append(out.read_bytes())
@@ -183,12 +193,15 @@ class TestSweeps:
     def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self, tmp_path):
         # 7 trials per cell split each policy's batch across cell boundaries;
         # the cap times some trials out.
-        for sweep in (run_delta_sweep, run_alpha_sweep):
+        # The confidence sweep's cells, then the aggressiveness sweep's.
+        for i, grids in enumerate((
+                dict(deltas=(0.3, 0.1, 0.05)),
+                dict(policies=("FullElim",), deltas=(0.3,), alphas=(0.5, 1.0)))):
             csvs = []
             for workers in (1, 2):
-                out = tmp_path / f"{sweep.__name__}{workers}.csv"
-                sweep(ExperimentConfig(
-                    environment="degenerate", deltas=(0.3, 0.1, 0.05), alphas=(0.5, 1.0),
+                out = tmp_path / f"sweep{i}-{workers}.csv"
+                run_sweep(ExperimentConfig(
+                    environment="degenerate", **grids,
                     trials=7, base_seed=BASE_SEED, workers=workers, max_steps=400,
                     out=str(out)))
                 csvs.append(out.read_bytes())
@@ -203,7 +216,7 @@ class TestSweeps:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: used.append(method) or get_context(method))
-        rows = [run_delta_sweep(ExperimentConfig(
+        rows = [run_sweep(ExperimentConfig(
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
             trials=8, base_seed=BASE_SEED, workers=workers)) for workers in (1, 2)]
         assert used == ["spawn"]
@@ -235,7 +248,7 @@ class TestRowCap:
         csvs = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}.csv"
-            run_delta_sweep(ExperimentConfig(
+            run_sweep(ExperimentConfig(
                 environment="skewed", deltas=(0.3, 0.1), trials=trials,
                 base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
             csvs.append(out.read_bytes())
@@ -254,7 +267,7 @@ class TestRowCap:
             csvs = []
             for workers in (1, 3):
                 out = tmp_path / f"t{trials}w{workers}.csv"
-                run_delta_sweep(ExperimentConfig(
+                run_sweep(ExperimentConfig(
                     environment="skewed", policies=("TaS",), deltas=(0.1,), trials=trials,
                     base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
                 csvs.append(out.read_bytes())

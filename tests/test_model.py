@@ -68,10 +68,20 @@ def test_fully_indistinct_hypothesis_rejected_even_relaxed():
     {"name": "a,b", "means": [[0.1, 0.2]]},
     {"name": "a\nb", "means": [[0.1, 0.2]]},
     {"name": "a\rb", "means": [[0.1, 0.2]]},
+    # sigma**2 underflows to 0, sigma**2 overflows, a squared gap overflows
+    {"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e-170},
+    {"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e170},
+    {"name": "x", "means": [[0, 1e200], [0.5, 0.2]]},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(MalformedDocumentError):
         load_environment(doc)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e2])
+def test_sigma_range_ends_load(sigma):
+    env = load_environment({"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": sigma})
+    assert np.isfinite(env.kl_table).all() and env.kl_table.max() > 0
 
 
 def test_load_sources(tmp_path, skewed):
