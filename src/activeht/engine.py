@@ -35,12 +35,30 @@ trial run on its own, and results do not depend on how trials are batched:
 * the tracking target is fetched from the ``OracleCache`` only when a
   running trial's champion changes or, for FullElim, an elimination fires.
 
+While every live row is Greedy, no diagnostics are recorded and the batch
+holds at most ``_RUN_AHEAD_CELLS`` log-likelihoods (a small Greedy-only
+batch, a mixed batch once the other kinds are compacted out, or a lone
+Greedy trial), the batch runs ahead.  A Greedy row's action
+``best_action[champion, rival]`` holds while its (champion, rival) pair
+does, so a block takes the next steps of every row at once: the
+log-likelihood increments in the step's operation order, summed along the
+step axis by ``np.add.accumulate`` (left to right, as the step loop adds
+them), and each step's pair and stop tests.  The batch advances to the first
+step at which a running row's pair changes or it stops, and the champion and
+stop rule run there as after a single step.  A block never crosses the end
+of a noise block or the step cap and spans at most ``_RNG_BLOCK // K``
+steps.  It opens once the batch has gone ``_QUIET_STEPS`` steps without such
+an event, and spans as many steps as the batch has been quiet, so a batch
+whose pairs change every few steps keeps taking single steps.
+
 ``run_trial`` is the R = 1 call, and ``record_diagnostics`` records its
-rounds in the same loop.  A lone trial pays numpy's per-call overhead on
-arrays of one row, several times the per-step cost of a scalar loop, so
-runs of many trials should go through ``run_trials``.  ``new_trial_state``,
-``update_likelihoods``, ``ctrack_select``, ``greedy_select``, ``eliminate``
-and ``thresholds`` are the single-trial reference of the same rules.
+rounds in the same loop, one step at a time.  Outside a block, a lone trial
+pays numpy's per-call overhead on arrays of one row, several times the
+per-step cost of a scalar loop, so runs of many trials should go through
+``run_trials``.
+``new_trial_state``, ``update_likelihoods``, ``ctrack_select``,
+``greedy_select``, ``eliminate`` and ``thresholds`` are the single-trial
+reference of the same rules.
 """
 
 from __future__ import annotations
@@ -67,6 +85,13 @@ _RNG_BLOCK = 512
 # Finished rows of a lockstep batch are compacted out once they are this share
 # of its rows.
 _COMPACT_SHARE = 1 / 8
+# A batch whose live rows are all Greedy runs ahead in blocks once it has taken
+# _QUIET_STEPS steps in a row without an event, if it holds at most
+# _RUN_AHEAD_CELLS log-likelihoods (rows * K): past that, a block's work per
+# row costs more than the per-step overhead it saves (see the module
+# docstring).
+_QUIET_STEPS = 8
+_RUN_AHEAD_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -415,19 +440,30 @@ def run_trials(
     results: list[TrialResult | None] = [None] * n
     running = n
     t = 0
+    # A Greedy-only batch's steps in a row without an event, and the span
+    # cap, which keeps a block's (K, span, rows) arrays about the size of the
+    # noise block.
+    quiet, span_cap = 0, max(_RNG_BLOCK // k, 1)
+    hypotheses = np.arange(k)[:, None, None]
 
     while running:
         # Compaction replaces the row arrays: the row offsets and the views
         # each rule works on hold until the next one.  Row r's entries of
         # the flattened (rows, K) and (rows, A) arrays start at r*K and r*A.
-        row_k = np.arange(n) * k
-        row_a = np.arange(n) * num_actions
+        row = np.arange(n)
+        row_k = row * k
+        row_a = row * num_actions
         champion = rows.champion
         tracked, tracking_champion, wmin, weights, target, tracking_counts = rows.part(
             g, n, "tracked", "champion", "wmin", "weights", "target", "counts")
         greedy_champion, greedy_rival = rows.part(0, g, "champion", "rival")
         stop_loglik, rival = rows.part(0, s, "loglik", "rival")
         stop_k = row_k[:s]
+        # A small batch whose rows are all Greedy runs ahead (see the module
+        # docstring); a recorded trial takes single steps.
+        run_ahead = g == n and trace is None and n * k <= _RUN_AHEAD_CELLS
+        if run_ahead:
+            pair = champion * k + rival
         compact = False
         while not compact:
             if g < n:
@@ -450,24 +486,61 @@ def run_trials(
                 eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
                 target += (weights + eta) / (1.0 + num_actions * eta)
                 a = (target - tracking_counts).argmax(axis=1)
-            if g:
-                # At t = 0 champion and rival are still 0, and
-                # best_action[0, 0] is action 0 (kl_table[:, 0, 0] is all
-                # zero and argmax takes the first index): the first pull.
-                greedy = env.best_action[greedy_champion, greedy_rival]
-                a = greedy if g == n else np.concatenate((greedy, a))
 
             i = t % _RNG_BLOCK
             if i == 0:
                 for j, rng in zip(rows.index[rows.live].tolist(), rows.rng[rows.live]):
                     noise[:, j] = rng.standard_normal(_RNG_BLOCK)
-            o = true_means[a] + sigma * noise[i][rows.index]
 
-            gap = o[:, None] - means.take(a, axis=0)
+            block = run_ahead and quiet >= _QUIET_STEPS
+            if block:
+                # A Greedy row's action best_action[champion, rival] holds
+                # while its (champion, rival) pair does.  The block takes the
+                # next `span` steps of every row with that action, in the
+                # step's operation order (add.accumulate sums along the step
+                # axis left to right), and advances every row to the first
+                # step at which a running row's pair changes or its stop test
+                # fires.  The champion and stop rule below run at that step.
+                span = min(quiet, span_cap, _RNG_BLOCK - i, max_steps - t)
+                a = env.best_action[champion, rival]
+                o = true_means[a] + sigma * noise[i:i + span, rows.index]
+                gap = o - means.take(a, axis=0).T[:, None, :]
+                run = np.empty((k, span + 1, n))
+                run[:, 0] = rows.loglik.T
+                np.multiply(scale, gap, out=run[:, 1:])
+                run[:, 1:] *= gap
+                np.add.accumulate(run, axis=1, out=run)
+                # run[h, j, r]: row r's log-likelihood of h after step j.
+                run = run[:, 1:]
+                lead = run[champion, :, row].T
+                lag = run[rival, :, row].T
+                # The pair holds while the rival ranks below the champion and
+                # every other hypothesis below the rival, ranked as argmax
+                # ranks: by log-likelihood, then by lowest index.
+                below = (run < lag) | ((run == lag) & (hypotheses >= rival))
+                below[champion, :, row] = True
+                held = below.all(axis=0) & ((lag < lead) | ((lag == lead) & (rival > champion)))
+                gamma = np.array([b * log(u) + c for u in range(t + 1, t + span + 1)])
+                ends = (~held | (lead - lag >= rows.level + gamma[:, None])) & rows.live
+                hit = ends.any(axis=1).nonzero()[0]
+                event = hit.size > 0
+                length = int(hit[0]) + 1 if event else span
+                rows.loglik[:] = run[:, length - 1].T
+            else:
+                if g:
+                    # At t = 0 champion and rival are still 0, and
+                    # best_action[0, 0] is action 0 (kl_table[:, 0, 0] is all
+                    # zero and argmax takes the first index): the first pull.
+                    greedy = env.best_action[greedy_champion, greedy_rival]
+                    a = greedy if g == n else np.concatenate((greedy, a))
+                o = true_means[a] + sigma * noise[i][rows.index]
+                gap = o[:, None] - means.take(a, axis=0)
+                rows.loglik += scale * gap * gap
+                length = 1
+
             loglik = rows.loglik
-            loglik += scale * gap * gap
-            rows.counts.reshape(-1)[row_a + a] += 1
-            t += 1
+            rows.counts.reshape(-1)[row_a + a] += length
+            t += length
             loglik.argmax(axis=1, out=champion)
             at_champion = row_k + champion
             lead = loglik.reshape(-1)[at_champion]
@@ -505,6 +578,18 @@ def run_trials(
             if trace is not None:
                 _record_round(trace, env, first, cache, t, rows,
                               removed[0].nonzero()[0].tolist() if s < n else [])
+            if run_ahead:
+                # An event: a running row stopped or changed its (champion,
+                # rival) pair.  The count only sizes the blocks, which find
+                # their own events, so the pair is refreshed only after a
+                # single step in which no row stopped.
+                if not block:
+                    event = stopped is not None
+                    if not event:
+                        code = champion * k + rival
+                        event = np.count_nonzero((code != pair) & rows.live)
+                        pair = code
+                quiet = 0 if event else quiet + length
 
             if t >= max_steps:
                 done = rows.live

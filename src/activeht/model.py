@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -267,16 +268,31 @@ def _environment_from_document(doc: dict) -> Environment:
         isinstance(row, (list, tuple)) for row in means
     ):
         raise MalformedDocumentError("'means' must be a list of per-action rows")
-    rows = tuple(tuple(float(x) for x in row) for row in means)
+    rows = tuple(tuple(_number(x, f"means[{a}][{h}]") for h, x in enumerate(row))
+                 for a, row in enumerate(means))
     name = str(doc.get("name", "custom"))
-    sigma = float(doc.get("sigma", 1.0))
+    sigma = _number(doc.get("sigma", 1.0), "sigma")
     env = Environment(name=name, means=rows, sigma=sigma)
     for key in ("num_actions", "num_hypotheses"):
-        if key in doc and int(doc[key]) != getattr(env, key):
+        if key not in doc:
+            continue
+        if isinstance(doc[key], bool) or not isinstance(doc[key], numbers.Integral):
+            raise MalformedDocumentError(f"{key} must be an integer, got {doc[key]!r}")
+        if doc[key] != getattr(env, key):
             raise MalformedDocumentError(
                 f"declared {key}={doc[key]} but means matrix implies {getattr(env, key)}"
             )
     return env
+
+
+def _number(value, field: str) -> float:
+    """A document's number as a float; any other value is malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise MalformedDocumentError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MalformedDocumentError(f"{field} overflows a float") from None
 
 
 def _validate_identifiability(env: Environment, strict: bool) -> None:

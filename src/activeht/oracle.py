@@ -132,7 +132,7 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     rhs[-1] = 1.0
     basis = list(range(n, n + m))
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland_iterate(tab, rhs, basis, phase1_cost)
+    _bland_iterate(tab, rhs, basis, lambda: phase1_cost - phase1_cost[basis] @ tab)
     if float(phase1_cost[basis] @ rhs) > 1e-7:
         raise OracleError("max-min program reported infeasible (solver bug)")
 
@@ -155,7 +155,10 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     basis = [basis[i] for i in keep]
     cost = np.zeros(n)
     cost[z] = -1.0
-    _bland_iterate(tab, rhs, basis, cost)
+    # The cost's one nonzero is -1 on z, so cost[basis] @ tab is minus the row
+    # where z is basic, or zero while z is non-basic: pricing reads that row.
+    _bland_iterate(tab, rhs, basis,
+                   lambda: cost + tab[basis.index(z)] if z in basis else cost)
 
     x = np.zeros(n)
     x[basis] = rhs
@@ -164,9 +167,11 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     return tuple(float(v) for v in w)
 
 
-def _bland_iterate(tab, rhs, basis, cost):
+def _bland_iterate(tab, rhs, basis, price):
+    """Pivot by Bland's rule until ``price()``, the reduced-cost row of the
+    current basis, has no improving entry."""
     for _ in range(10_000):
-        reduced = cost - cost[basis] @ tab
+        reduced = price()
         improving = (reduced < -PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return

@@ -164,6 +164,9 @@ class TestValidationRules:
         # sigma**2 underflows to 0: the likelihood scale divided by it
         (["trial", "--env", '{"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e-170}',
           "--policy", "TaS", "--delta", "0.1"], "sigma"),
+        # A null entry used to escape as a TypeError traceback.
+        (["trial", "--env", '{"name": "x", "means": [[0.1, null], [0.2, 0.3]]}',
+          "--policy", "TaS", "--delta", "0.1"], "means[0][1]"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,6 +446,82 @@ class TestLockstep:
             run_trials(skewed, 0, [tas, tas], [1, 2], record_diagnostics=True)
         with pytest.raises(IndexError):
             run_trials(skewed, 5, [tas], [1])
+
+
+class TestRunAhead:
+    """A batch whose live rows are all Greedy advances in blocks of steps (see
+    the engine module docstring); every outcome equals the replay's."""
+
+    @staticmethod
+    def _check_batches(env, true_h, cfgs, seeds, cache, rows):
+        """Run the trials in batches of ``rows`` and check them against the
+        replay; returns the results."""
+        got = []
+        for lo in range(0, len(seeds), rows):
+            got += run_trials(env, true_h, cfgs[lo:lo + rows], seeds[lo:lo + rows], cache=cache)
+        assert _outcomes(got) == [replay(env, true_h, cfg, s, cache)
+                                  for cfg, s in zip(cfgs, seeds)]
+        return got
+
+    @pytest.mark.parametrize("max_steps", [511, 512, 513, 777])
+    def test_greedy_batches_match_the_replay_at_caps_near_the_noise_block(
+            self, degenerate, caches, max_steps):
+        cfgs, seeds = _mixed_batch("Greedy", range(BASE_SEED, BASE_SEED + 16), max_steps)
+        got = self._check_batches(degenerate, 0, cfgs, seeds, caches["degenerate"], 16)
+        assert any(r.timed_out for r in got)
+
+    def test_greedy_runs_to_the_cli_cap(self, degenerate, caches):
+        cfgs, seeds = _mixed_batch("Greedy", range(BASE_SEED, BASE_SEED + 3), 20_000)
+        got = self._check_batches(degenerate, 0, cfgs, seeds, caches["degenerate"], 3)
+        assert any(r.tau == 20_000 and r.timed_out for r in got)
+
+    def test_stops_land_inside_blocks(self, hard_weak, caches):
+        # Small batches go quiet early, so their stops fire inside blocks.  A
+        # steep threshold (b*log(t) grows by about b/t a step) makes a stop
+        # tested at the wrong step show.
+        cfgs = [PolicyConfig(kind="Greedy", delta=delta, b=20.0) for delta in (1e-3, 1e-6) * 20]
+        seeds = list(range(BASE_SEED, BASE_SEED + 40))
+        got = self._check_batches(hard_weak, 2, cfgs, seeds, caches["hard-weak"], 4)
+        assert not any(r.timed_out for r in got)
+        assert len({r.tau for r in got}) > 20
+
+    @pytest.mark.parametrize("true_h", [0, 7])
+    def test_frequent_events_on_a_random_24_by_24_environment(self, true_h):
+        # Pairs among 24 hypotheses change every few steps, so most blocks
+        # end at a pair change.
+        rng = np.random.default_rng(BASE_SEED)
+        env = load_environment({"name": "k24", "means": rng.uniform(0, 1, (24, 24)).tolist(),
+                                "sigma": 2.0})
+        cfgs, seeds = _mixed_batch("Greedy", range(BASE_SEED, BASE_SEED + 9), 3000)
+        self._check_batches(env, true_h, cfgs, seeds, OracleCache(env), 3)
+
+    def test_greedy_slice_runs_alone_after_compaction(self, degenerate, caches):
+        cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED + 50, BASE_SEED + 74), 8000)
+        got = self._check_batches(degenerate, 0, cfgs, seeds, caches["degenerate"], len(seeds))
+        greedy = [r.tau for cfg, r in zip(cfgs, got) if cfg.kind == "Greedy"]
+        others = [r.tau for cfg, r in zip(cfgs, got) if cfg.kind != "Greedy"]
+        assert max(others) < min(greedy) == 8000
+
+    def test_lone_trial_matches_the_recorded_trial(self, degenerate):
+        # A recorded trial takes single steps; the same trial unrecorded runs
+        # ahead.
+        for seed in range(BASE_SEED, BASE_SEED + 3):
+            cfg = PolicyConfig(kind="Greedy", delta=0.1, max_steps=2000)
+            recorded = run_trial(degenerate, 0, cfg, seed, record_diagnostics=True)
+            alone = run_trial(degenerate, 0, cfg, seed)
+            assert alone == replace(recorded, diagnostics=None)
+
+    def test_add_accumulate_sums_step_by_step(self):
+        # The block's log-likelihoods are np.add.accumulate along the step
+        # axis, in place; the step loop adds one increment at a time.
+        rng = np.random.default_rng(BASE_SEED)
+        for shape in ((5, 103, 40), (24, 22, 3), (2, 65, 1)):
+            run = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            loop = run.copy()
+            for j in range(1, shape[1]):
+                loop[:, j] = loop[:, j - 1] + loop[:, j]
+            np.add.accumulate(run, axis=1, out=run)
+            assert np.array_equal(run.view(np.int64), loop.view(np.int64))
 
 
 # SHA-256 of the JSON trace document of one recorded trial per setting and kind.

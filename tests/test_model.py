@@ -72,6 +72,20 @@ def test_fully_indistinct_hypothesis_rejected_even_relaxed():
     {"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e-170},
     {"name": "x", "means": [[0, 1], [0.5, 0.2]], "sigma": 1e170},
     {"name": "x", "means": [[0, 1e200], [0.5, 0.2]]},
+    # entries that are not numbers, and an integer beyond float range
+    {"name": "x", "means": [[0.1, None], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, [0.2]], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, {}], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, "0.2"], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, True], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, 10**400], [0.2, 0.3]]},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "sigma": None},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "sigma": [1.0]},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "sigma": {"value": 1.0}},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_actions": None},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_hypotheses": [2]},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_hypotheses": {"n": 2}},
+    {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_actions": 2.5},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(MalformedDocumentError):
