@@ -34,8 +34,8 @@ EXIT_VALIDATION = 3
 # Library trials default to an effectively unbounded cap; the CLI uses a cap
 # that keeps a full sweep finite even for policies that can stall forever
 # (the greedy baseline deadlocks on the degenerate environment).  Stalled
-# Greedy trials run ahead to the cap in blocks of steps once no other kind is
-# left in their batch (see activeht.engine).
+# trials of every kind run ahead to the cap in blocks of steps while their
+# batch holds at most 1,024 log-likelihoods (see activeht.engine).
 CLI_MAX_STEPS = 20_000
 
 

@@ -35,21 +35,28 @@ trial run on its own, and results do not depend on how trials are batched:
 * the tracking target is fetched from the ``OracleCache`` only when a
   running trial's champion changes or, for FullElim, an elimination fires.
 
-While every live row is Greedy, no diagnostics are recorded and the batch
-holds at most ``_RUN_AHEAD_CELLS`` log-likelihoods (a small Greedy-only
-batch, a mixed batch once the other kinds are compacted out, or a lone
-Greedy trial), the batch runs ahead.  A Greedy row's action
-``best_action[champion, rival]`` holds while its (champion, rival) pair
-does, so a block takes the next steps of every row at once: the
-log-likelihood increments in the step's operation order, summed along the
-step axis by ``np.add.accumulate`` (left to right, as the step loop adds
-them), and each step's pair and stop tests.  The batch advances to the first
-step at which a running row's pair changes or it stops, and the champion and
-stop rule run there as after a single step.  A block never crosses the end
-of a noise block or the step cap and spans at most ``_RNG_BLOCK // K``
-steps.  It opens once the batch has gone ``_QUIET_STEPS`` steps without such
-an event, and spans as many steps as the batch has been quiet, so a batch
-whose pairs change every few steps keeps taking single steps.
+While no diagnostics are recorded and the batch holds at most
+``_RUN_AHEAD_CELLS`` log-likelihoods (a small batch of any kinds, a large
+one once compaction shrinks it, or a lone trial), the batch runs ahead.
+Between events every row's next actions are known without new
+observations: a Greedy row's action ``best_action[champion, rival]`` holds
+while its (champion, rival) pair does, and a tracking row's target holds
+while its champion and opponent set do (C-tracking, Garivier & Kaufmann,
+COLT 2016), so its actions follow from the floored target increments and
+its counts alone.  A block takes the next steps of every row at once: the
+tracking rows' target increments and log-likelihood increments in the
+step's operation order, each summed along the step axis by
+``np.add.accumulate`` (left to right, as the step loop adds them), the
+tracking actions in a short per-step argmax loop, and each step's event
+tests.  An event is a change of a Greedy row's pair or a tracking row's
+champion, a stop, or an elimination.  The batch advances to the first step
+at which a running row has one, and the champion, stop and elimination
+rules run there as after a single step.  A block never crosses the end of a
+noise block or the step cap and spans at most ``_RNG_BLOCK // K`` steps
+(``_RNG_BLOCK // max(K, A)`` while tracking rows are in the batch).  It
+opens once the batch has gone ``_QUIET_STEPS`` steps without an event, and
+spans as many steps as the batch has been quiet, so a batch with events
+every few steps keeps taking single steps.
 
 ``run_trial`` is the R = 1 call, and ``record_diagnostics`` records its
 rounds in the same loop, one step at a time.  Outside a block, a lone trial
@@ -85,11 +92,10 @@ _RNG_BLOCK = 512
 # Finished rows of a lockstep batch are compacted out once they are this share
 # of its rows.
 _COMPACT_SHARE = 1 / 8
-# A batch whose live rows are all Greedy runs ahead in blocks once it has taken
-# _QUIET_STEPS steps in a row without an event, if it holds at most
-# _RUN_AHEAD_CELLS log-likelihoods (rows * K): past that, a block's work per
-# row costs more than the per-step overhead it saves (see the module
-# docstring).
+# A batch runs ahead in blocks once it has taken _QUIET_STEPS steps in a row
+# without an event, if it holds at most _RUN_AHEAD_CELLS log-likelihoods
+# (rows * K): past that, a block's work per row costs more than the per-step
+# overhead it saves (see the module docstring).
 _QUIET_STEPS = 8
 _RUN_AHEAD_CELLS = 1024
 
@@ -369,7 +375,9 @@ def run_trials(
     The configs may mix policy kinds and differ in delta and alpha, but share
     the threshold shape (b, c) and max_steps, so the step count is shared.
     Result i is the same however the trials are batched (see the module
-    docstring).  Diagnostics are recorded for a batch of one trial only.
+    docstring).  Diagnostics are recorded for a batch of one trial only, one
+    step at a time; an unrecorded batch of at most ``_RUN_AHEAD_CELLS``
+    log-likelihoods, of any kinds, runs ahead in blocks of steps.
     """
     if not 0 <= true_h < env.num_hypotheses:
         raise IndexError(f"true hypothesis {true_h} out of range")
@@ -413,7 +421,7 @@ def run_trials(
     g, s, f = (sum(cfg.kind in POLICY_KINDS[:end] for cfg in cfgs) for end in (1, 2, 3))
     # Each trial draws from its own stream in blocks of _RNG_BLOCK; the step
     # count is shared, so every row refills at the same step.  Column j of
-    # ``noise`` is trial j's block.
+    # ``noise`` is trial j's block times sigma.
     noise = np.empty((_RNG_BLOCK, n))
     rows = _Rows(
         index=np.array(order),
@@ -440,10 +448,8 @@ def run_trials(
     results: list[TrialResult | None] = [None] * n
     running = n
     t = 0
-    # A Greedy-only batch's steps in a row without an event, and the span
-    # cap, which keeps a block's (K, span, rows) arrays about the size of the
-    # noise block.
-    quiet, span_cap = 0, max(_RNG_BLOCK // k, 1)
+    # The batch's steps in a row without an event.
+    quiet = 0
     hypotheses = np.arange(k)[:, None, None]
 
     while running:
@@ -459,13 +465,15 @@ def run_trials(
         greedy_champion, greedy_rival = rows.part(0, g, "champion", "rival")
         stop_loglik, rival = rows.part(0, s, "loglik", "rival")
         stop_k = row_k[:s]
-        # A small batch whose rows are all Greedy runs ahead (see the module
-        # docstring); a recorded trial takes single steps.
-        run_ahead = g == n and trace is None and n * k <= _RUN_AHEAD_CELLS
-        if run_ahead:
-            pair = champion * k + rival
+        # A small batch runs ahead (see the module docstring); a recorded trial
+        # takes single steps.  A block's (K, span, rows) log-likelihoods and
+        # (span, rows, A) targets stay about the size of the noise block.
+        run_ahead = trace is None and n * k <= _RUN_AHEAD_CELLS
+        span_cap = max(_RNG_BLOCK // (k if g == n else max(k, num_actions)), 1)
+        pair = None
         compact = False
         while not compact:
+            block = run_ahead and quiet >= _QUIET_STEPS
             if g < n:
                 # A finished row takes no target: a finished FullElim row's
                 # champion may have no opponent left.
@@ -479,32 +487,46 @@ def run_trials(
                     w, _ = cache.target(ch, opponents)
                     weights[r] = w
                     wmin[r] = min(w)
-                # ctrack_select on every tracking row; eta = 0 leaves a row's
-                # weights as they are, as _floor_projection does when
-                # min(w) >= eps.
-                eps = 0.5 / sqrt(num_actions * num_actions + t)
-                eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
-                target += (weights + eta) / (1.0 + num_actions * eta)
-                a = (target - tracking_counts).argmax(axis=1)
+                if not block:
+                    # ctrack_select on every tracking row; eta = 0 leaves a
+                    # row's weights as they are, as _floor_projection does
+                    # when min(w) >= eps.
+                    eps = 0.5 / sqrt(num_actions * num_actions + t)
+                    eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
+                    target += (weights + eta) / (1.0 + num_actions * eta)
+                    a = (target - tracking_counts).argmax(axis=1)
 
             i = t % _RNG_BLOCK
             if i == 0:
                 for j, rng in zip(rows.index[rows.live].tolist(), rows.rng[rows.live]):
-                    noise[:, j] = rng.standard_normal(_RNG_BLOCK)
+                    noise[:, j] = sigma * rng.standard_normal(_RNG_BLOCK)
 
-            block = run_ahead and quiet >= _QUIET_STEPS
+            if g:
+                # At t = 0 champion and rival are still 0, and best_action[0,
+                # 0] is action 0 (kl_table[:, 0, 0] is all zero and argmax
+                # takes the first index): the first pull.
+                greedy = env.best_action[greedy_champion, greedy_rival]
             if block:
-                # A Greedy row's action best_action[champion, rival] holds
-                # while its (champion, rival) pair does.  The block takes the
-                # next `span` steps of every row with that action, in the
-                # step's operation order (add.accumulate sums along the step
-                # axis left to right), and advances every row to the first
-                # step at which a running row's pair changes or its stop test
-                # fires.  The champion and stop rule below run at that step.
+                # Between events every row's next actions are known without
+                # new observations: a Greedy row's is best_action[champion,
+                # rival] while its pair holds, a tracking row's follows its
+                # target while its champion and opponent set hold.  The block
+                # takes the next `span` steps of every row, in the step's
+                # operation order (add.accumulate sums along the step axis
+                # left to right), and advances every row to the first step at
+                # which a running row has an event.  The champion, stop and
+                # elimination rules below run at that step.
                 span = min(quiet, span_cap, _RNG_BLOCK - i, max_steps - t)
-                a = env.best_action[champion, rival]
-                o = true_means[a] + sigma * noise[i:i + span, rows.index]
-                gap = o - means.take(a, axis=0).T[:, None, :]
+                drawn = noise[i:i + span, rows.index]
+                gap = np.empty((k, span, n))
+                if g:
+                    np.subtract(true_means[greedy] + drawn[:, :g],
+                                means.take(greedy, axis=0).T[:, None, :], out=gap[:, :, :g])
+                if g < n:
+                    actions, targets = _track_ahead(target, tracking_counts, weights, wmin,
+                                                    t, span)
+                    np.subtract(true_means[actions] + drawn[:, g:], means.T[:, actions],
+                                out=gap[:, :, g:])
                 run = np.empty((k, span + 1, n))
                 run[:, 0] = rows.loglik.T
                 np.multiply(scale, gap, out=run[:, 1:])
@@ -513,33 +535,58 @@ def run_trials(
                 # run[h, j, r]: row r's log-likelihood of h after step j.
                 run = run[:, 1:]
                 lead = run[champion, :, row].T
-                lag = run[rival, :, row].T
-                # The pair holds while the rival ranks below the champion and
-                # every other hypothesis below the rival, ranked as argmax
-                # ranks: by log-likelihood, then by lowest index.
-                below = (run < lag) | ((run == lag) & (hypotheses >= rival))
-                below[champion, :, row] = True
-                held = below.all(axis=0) & ((lag < lead) | ((lag == lead) & (rival > champion)))
                 gamma = np.array([b * log(u) + c for u in range(t + 1, t + span + 1)])
-                ends = (~held | (lead - lag >= rows.level + gamma[:, None])) & rows.live
+                beta = rows.level + gamma[:, None]
+                ends = np.empty((span, n), dtype=bool)
+                if g:
+                    # A pair holds while the rival ranks below the champion
+                    # and every other hypothesis below the rival, ranked as
+                    # argmax ranks: by log-likelihood, then by lowest index.
+                    greedy_run, greedy_lead = run[:, :, :g], lead[:, :g]
+                    lag = run[greedy_rival, :, row[:g]].T
+                    below = (greedy_run < lag) | ((greedy_run == lag) & (hypotheses >= greedy_rival))
+                    below[greedy_champion, :, row[:g]] = True
+                    held = below.all(axis=0) & ((lag < greedy_lead) | (
+                        (lag == greedy_lead) & (greedy_rival > greedy_champion)))
+                    ends[:, :g] = ~held | (greedy_lead - lag >= beta[:, :g])
+                if g < n:
+                    # A tracking champion holds while every hypothesis ranks
+                    # below it or is itself.  The stop rule fires when every
+                    # opponent clears beta (min of lead - loglik[h] is lead -
+                    # max of loglik[h]: rounding is monotone), an elimination
+                    # when one surviving opponent does.
+                    tracking_run, tracking_lead = run[:, :, g:], lead[:, g:]
+                    ends[:, g:] = ~((tracking_run < tracking_lead) | (
+                        (tracking_run == tracking_lead) & (hypotheses >= tracking_champion))
+                    ).all(axis=0)
+                    clear = tracking_lead - tracking_run >= beta[:, g:]
+                    act = rows.active.reshape(-1, k)[row_k[g:] + tracking_champion].T[:, None]
+                    if g < s:
+                        ends[:, g:s] |= (clear[:, :, :s - g] | ~act[:, :, :s - g]).all(axis=0)
+                    if s < n:
+                        ends[:, s:] |= (clear[:, :, s - g:] & act[:, :, s - g:]).any(axis=0)
+                ends &= rows.live
                 hit = ends.any(axis=1).nonzero()[0]
                 event = hit.size > 0
                 length = int(hit[0]) + 1 if event else span
                 rows.loglik[:] = run[:, length - 1].T
+                if g:
+                    rows.counts.reshape(-1)[row_a[:g] + greedy] += length
+                if g < n:
+                    target[:] = targets[length - 1]
+                    tracking_counts += np.bincount(
+                        (actions[:length] + row_a[:n - g]).ravel(),
+                        minlength=(n - g) * num_actions).reshape(n - g, num_actions)
             else:
                 if g:
-                    # At t = 0 champion and rival are still 0, and
-                    # best_action[0, 0] is action 0 (kl_table[:, 0, 0] is all
-                    # zero and argmax takes the first index): the first pull.
-                    greedy = env.best_action[greedy_champion, greedy_rival]
                     a = greedy if g == n else np.concatenate((greedy, a))
-                o = true_means[a] + sigma * noise[i][rows.index]
+                o = true_means[a] + noise[i][rows.index]
                 gap = o[:, None] - means.take(a, axis=0)
                 rows.loglik += scale * gap * gap
+                rows.counts.reshape(-1)[row_a + a] += 1
                 length = 1
 
             loglik = rows.loglik
-            rows.counts.reshape(-1)[row_a + a] += length
             t += length
             loglik.argmax(axis=1, out=champion)
             at_champion = row_k + champion
@@ -579,15 +626,17 @@ def run_trials(
                 _record_round(trace, env, first, cache, t, rows,
                               removed[0].nonzero()[0].tolist() if s < n else [])
             if run_ahead:
-                # An event: a running row stopped or changed its (champion,
-                # rival) pair.  The count only sizes the blocks, which find
-                # their own events, so the pair is refreshed only after a
-                # single step in which no row stopped.
+                # An event: a running row stopped or eliminated, changed its
+                # champion or, if Greedy, its (champion, rival) pair.  The
+                # count only sizes the blocks, which find their own events,
+                # so the pairs are refreshed only after a single step in
+                # which no row stopped or eliminated.
                 if not block:
                     event = stopped is not None
                     if not event:
-                        code = champion * k + rival
-                        event = np.count_nonzero((code != pair) & rows.live)
+                        code = champion * k
+                        code[:g] += greedy_rival
+                        event = pair is not None and np.count_nonzero((code != pair) & rows.live)
                         pair = code
                 quiet = 0 if event else quiet + length
 
@@ -624,6 +673,37 @@ def run_trials(
         trace.meta.update(tau=result.tau, recommendation=result.recommendation,
                           correct=result.correct, timed_out=result.timed_out)
     return results
+
+
+def _track_ahead(target, counts, weights, wmin, t, span):
+    """The actions and cumulative targets of tracking rows over the next
+    ``span`` steps, t + 1 to t + span, while their weights hold.
+
+    The steps' floored increments are formed at once, in ctrack_select's
+    operation order with each step's eps from ``math``, and summed onto
+    ``target`` along the step axis; the actions are picked one step at a
+    time, each advancing the counts.  Returns ``(actions, targets)`` of
+    shapes (span, rows) and (span, rows, A).
+    """
+    num_rows, num_actions = target.shape
+    targets = np.empty((span + 1, num_rows, num_actions))
+    targets[0] = target
+    eps = np.array([0.5 / sqrt(num_actions * num_actions + u) for u in range(t, t + span)])
+    eta = (np.maximum(eps[:, None] - wmin, 0.0) / (1.0 - num_actions * eps)[:, None])[..., None]
+    np.divide(weights + eta, 1.0 + num_actions * eta, out=targets[1:])
+    np.add.accumulate(targets, axis=0, out=targets)
+    targets = targets[1:]
+    actions = np.empty((span, num_rows), dtype=np.intp)
+    # Float counts are exact and subtract the same as the integer ones, and
+    # faster.
+    taken = counts.astype(float)
+    at = np.arange(num_rows) * num_actions
+    deficit = np.empty_like(target)
+    for j in range(span):
+        if j:
+            taken.reshape(-1)[at + actions[j - 1]] += 1.0
+        np.subtract(targets[j], taken, out=deficit).argmax(axis=1, out=actions[j])
+    return actions, targets
 
 
 def _record_round(trace, env, cfg, cache, t, rows, removed):

@@ -48,6 +48,8 @@ class Environment:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise MalformedDocumentError(f"environment name must be a string, got {self.name!r}")
         if any(ch in self.name for ch in ",\n\r"):
             raise MalformedDocumentError(
                 f"environment name {self.name!r} must not contain a comma or line break")
@@ -270,7 +272,7 @@ def _environment_from_document(doc: dict) -> Environment:
         raise MalformedDocumentError("'means' must be a list of per-action rows")
     rows = tuple(tuple(_number(x, f"means[{a}][{h}]") for h, x in enumerate(row))
                  for a, row in enumerate(means))
-    name = str(doc.get("name", "custom"))
+    name = doc.get("name", "custom")
     sigma = _number(doc.get("sigma", 1.0), "sigma")
     env = Environment(name=name, means=rows, sigma=sigma)
     for key in ("num_actions", "num_hypotheses"):

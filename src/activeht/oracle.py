@@ -122,18 +122,28 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     m = len(opponents) + 1
     z = num_actions
     n = z + m
-    tab = np.zeros((m, n + m))
+    # One augmented array: the tableau, then the right-hand side as its last
+    # column, so a pivot is one row division and one rank-1 update.
+    aug = np.zeros((m, n + m + 1))
+    tab = aug[:, :-1]
     tab[:-1, :z] = d[:, h, opponents].T
     tab[:-1, z] = -1.0
     tab[:-1, z + 1:n] = -np.eye(m - 1)
     tab[-1, :z] = 1.0
     tab[:, n:] = np.eye(m)
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
+    aug[-1, -1] = 1.0
     basis = list(range(n, n + m))
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland_iterate(tab, rhs, basis, lambda: phase1_cost - phase1_cost[basis] @ tab)
-    if float(phase1_cost[basis] @ rhs) > 1e-7:
+    # phase1_cost[basis], kept up to date at each pivot.
+    basis_cost = np.ones(m)
+
+    def phase1_price(pivot):
+        if pivot:
+            basis_cost[pivot[0]] = phase1_cost[pivot[1]]
+        return phase1_cost - basis_cost @ tab
+
+    _bland_iterate(aug, basis, phase1_price)
+    if float(basis_cost @ aug[:, -1]) > 1e-7:
         raise OracleError("max-min program reported infeasible (solver bug)")
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -145,38 +155,42 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
         cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
         if not cols.size:
             continue
-        _pivot(tab, rhs, basis, i, int(cols[0]))
+        _pivot(aug, basis, i, int(cols[0]))
         keep.append(i)
 
     # The artificial columns have left the basis for good: phase 2 runs on
-    # the first n columns only.
-    tab = tab[keep, :n]
-    rhs = rhs[keep]
+    # the first n columns and the right-hand side only.
+    aug = aug[keep][:, [*range(n), n + m]]
+    tab = aug[:, :-1]
     basis = [basis[i] for i in keep]
     cost = np.zeros(n)
     cost[z] = -1.0
     # The cost's one nonzero is -1 on z, so cost[basis] @ tab is minus the row
     # where z is basic, or zero while z is non-basic: pricing reads that row.
-    _bland_iterate(tab, rhs, basis,
-                   lambda: cost + tab[basis.index(z)] if z in basis else cost)
+    _bland_iterate(aug, basis,
+                   lambda pivot: cost + tab[basis.index(z)] if z in basis else cost)
 
     x = np.zeros(n)
-    x[basis] = rhs
+    x[basis] = aug[:, -1]
     w = np.clip(x[:num_actions], 0.0, None)
     w /= w.sum()
     return tuple(float(v) for v in w)
 
 
-def _bland_iterate(tab, rhs, basis, price):
-    """Pivot by Bland's rule until ``price()``, the reduced-cost row of the
-    current basis, has no improving entry."""
+def _bland_iterate(aug, basis, price):
+    """Pivot by Bland's rule on the augmented tableau ``aug`` until
+    ``price(pivot)``, the reduced-cost row of the current basis, has no
+    improving entry; ``pivot`` is the last (row, column) pivoted on, or None
+    before the first."""
+    rhs = aug[:, -1]
+    pivot = None
     for _ in range(10_000):
-        reduced = price()
+        reduced = price(pivot)
         improving = (reduced < -PIVOT_TOL).nonzero()[0]
         if not improving.size:
             return
         entering = int(improving[0])
-        col = tab[:, entering]
+        col = aug[:, entering]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             raise OracleError("max-min program reported unbounded (solver bug)")
@@ -191,19 +205,18 @@ def _bland_iterate(tab, rhs, basis, price):
             elif abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving]:
                 best_ratio = min(best_ratio, ratio)
                 leaving = i
-        _pivot(tab, rhs, basis, leaving, entering)
+        _pivot(aug, basis, leaving, entering)
+        pivot = leaving, entering
     raise OracleError("simplex failed to converge")
 
 
-def _pivot(tab, rhs, basis, row, col):
-    """Gauss-Jordan pivot on (row, col) as one rank-1 update."""
-    piv = tab[row, col]
-    tab[row] /= piv
-    rhs[row] /= piv
-    factor = tab[:, col].copy()
+def _pivot(aug, basis, row, col):
+    """Gauss-Jordan pivot on (row, col) of the augmented tableau as one
+    rank-1 update."""
+    aug[row] /= aug[row, col]
+    factor = aug[:, col].copy()
     factor[row] = 0.0
-    rhs -= factor * rhs[row]
-    tab -= factor[:, None] * tab[row]
+    aug -= factor[:, None] * aug[row]
     basis[row] = col
 
 

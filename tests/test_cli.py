@@ -167,6 +167,9 @@ class TestValidationRules:
         # A null entry used to escape as a TypeError traceback.
         (["trial", "--env", '{"name": "x", "means": [[0.1, null], [0.2, 0.3]]}',
           "--policy", "TaS", "--delta", "0.1"], "means[0][1]"),
+        # A null name used to load as the text "None" in every CSV row.
+        (["exp1", "--env", '{"name": null, "means": [[0.1, 0.9], [0.4, 0.2]]}', *SMALL_SWEEP],
+         "environment name"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv

@@ -22,7 +22,7 @@ from activeht import (
     thresholds,
     update_likelihoods,
 )
-from activeht.engine import resolve_config
+from activeht.engine import _track_ahead, resolve_config
 
 from conftest import BASE_SEED
 
@@ -449,8 +449,8 @@ class TestLockstep:
 
 
 class TestRunAhead:
-    """A batch whose live rows are all Greedy advances in blocks of steps (see
-    the engine module docstring); every outcome equals the replay's."""
+    """A small batch of any kinds advances in blocks of steps (see the engine
+    module docstring); every outcome equals the replay's."""
 
     @staticmethod
     def _check_batches(env, true_h, cfgs, seeds, cache, rows):
@@ -510,6 +510,96 @@ class TestRunAhead:
             recorded = run_trial(degenerate, 0, cfg, seed, record_diagnostics=True)
             alone = run_trial(degenerate, 0, cfg, seed)
             assert alone == replace(recorded, diagnostics=None)
+
+    @pytest.mark.parametrize("max_steps", [511, 512, 513, 3000])
+    @pytest.mark.parametrize("kind", ["TaS", "StopElim", "FullElim"])
+    def test_tracking_batches_match_the_replay_at_caps_near_the_noise_block(
+            self, degenerate, hard_weak, caches, kind, max_steps):
+        for name, env in (("degenerate", degenerate), ("hard-weak", hard_weak)):
+            cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 16), max_steps)
+            self._check_batches(env, 0, cfgs, seeds, caches[name], 8)
+
+    @pytest.mark.parametrize("kind", ["TaS", "StopElim", "FullElim", "mixed"])
+    def test_stops_and_eliminations_land_inside_blocks(self, hard_weak, caches, kind):
+        # As for Greedy: a steep threshold makes a stop or an elimination
+        # tested at the wrong step show.  StopElim and FullElim rows
+        # eliminate before they stop.
+        cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 24), 20_000)
+        cfgs = [replace(cfg, b=20.0) for cfg in cfgs]
+        got = self._check_batches(hard_weak, 2, cfgs, seeds, caches["hard-weak"], 4)
+        assert not any(r.timed_out for r in got)
+        assert len({r.tau for r in got}) > 12
+
+    @pytest.mark.parametrize("kind", ["TaS", "StopElim", "FullElim"])
+    def test_exploration_floor_active_inside_blocks(self, kind):
+        # The third action tells no hypothesis from another, so every target
+        # puts weight 0 on it and the floor eps > 0 = min(w) mixes every
+        # step's increment.
+        env = load_environment({"name": "floored", "means": [[0.0, 1.0, 0.0],
+                                                             [0.0, 0.0, 0.5],
+                                                             [0.3, 0.3, 0.3]],
+                                "sigma": 2.0})
+        cache = OracleCache(env)
+        assert all(min(cache.target(h, [g for g in range(3) if g != h])[0]) == 0.0
+                   for h in range(3))
+        cfgs, seeds = _mixed_batch(kind, range(BASE_SEED, BASE_SEED + 12), 3000)
+        cfgs = [replace(cfg, delta=1e-6) for cfg in cfgs]
+        got = self._check_batches(env, 1, cfgs, seeds, cache, 4)
+        assert min(r.tau for r in got) > 30
+
+    def test_tracking_rows_on_a_random_24_by_24_environment(self):
+        # 40 rows of 24 log-likelihoods (960 cells) run ahead while champions
+        # still change every few steps.
+        rng = np.random.default_rng(BASE_SEED)
+        env = load_environment({"name": "k24", "means": rng.uniform(0, 1, (24, 24)).tolist(),
+                                "sigma": 2.0})
+        cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED, BASE_SEED + 40), 1500)
+        self._check_batches(env, 5, cfgs, seeds, OracleCache(env), 40)
+
+    def test_batch_over_the_cells_limit_takes_single_steps(self, hard_weak, caches):
+        # 205 rows of 5 log-likelihoods: 1,025 cells, one over the limit,
+        # until the first compaction.  Its outcomes equal those of the same
+        # trials in small batches, which run ahead.
+        cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED, BASE_SEED + 205), 300)
+        whole = self._check_batches(hard_weak, 1, cfgs, seeds, caches["hard-weak"], 205)
+        small = self._check_batches(hard_weak, 1, cfgs, seeds, caches["hard-weak"], 5)
+        assert whole == small
+
+    @pytest.mark.parametrize("kind", ["TaS", "StopElim", "FullElim"])
+    def test_lone_tracking_trial_matches_the_recorded_trial(self, degenerate, kind):
+        # At delta = 0.001 these trials take about 3,000 steps on
+        # degenerate, so every one of them reaches its cap.
+        for seed in range(BASE_SEED, BASE_SEED + 3):
+            cfg = PolicyConfig(kind=kind, delta=1e-3, max_steps=150 + 100 * (seed - BASE_SEED))
+            recorded = run_trial(degenerate, 0, cfg, seed, record_diagnostics=True)
+            alone = run_trial(degenerate, 0, cfg, seed)
+            assert alone == replace(recorded, diagnostics=None)
+            assert alone.timed_out
+
+    def test_track_ahead_matches_the_step_loop(self):
+        # A block's targets are np.add.accumulate of the floored increments
+        # along the step axis, in place; its actions follow them.  The step
+        # loop adds one increment at a time and picks each action from the
+        # counts so far.  Both agree bit for bit, with the floor active on
+        # some rows (min(w) = 0 or small) and idle on others.
+        rng = np.random.default_rng(BASE_SEED)
+        for rows, num_actions, t, span in ((7, 5, 0, 60), (3, 24, 1000, 21), (1, 2, 7, 200)):
+            weights = rng.dirichlet(np.full(num_actions, 0.3), rows)
+            weights[0] = 0.0
+            weights[0, -1] = 1.0
+            wmin = weights.min(axis=1)
+            counts = rng.integers(0, t + 1, (rows, num_actions))
+            target = counts + rng.uniform(-1, 1, (rows, num_actions))
+            actions, targets = _track_ahead(target, counts, weights, wmin, t, span)
+            for j, u in enumerate(range(t, t + span)):
+                eps = 0.5 / math.sqrt(num_actions * num_actions + u)
+                eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
+                target += (weights + eta) / (1.0 + num_actions * eta)
+                a = (target - counts).argmax(axis=1)
+                counts[np.arange(rows), a] += 1
+                assert np.array_equal(actions[j], a)
+                assert np.array_equal(targets[j].view(np.int64), target.view(np.int64))
+            assert any(0.5 / math.sqrt(num_actions ** 2 + t + span) > w for w in wmin)
 
     def test_add_accumulate_sums_step_by_step(self):
         # The block's log-likelihoods are np.add.accumulate along the step

@@ -86,6 +86,12 @@ def test_fully_indistinct_hypothesis_rejected_even_relaxed():
     {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_hypotheses": [2]},
     {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_hypotheses": {"n": 2}},
     {"name": "x", "means": [[0.1, 0.2], [0.2, 0.3]], "num_actions": 2.5},
+    # The name is written into every CSV row as it stands.
+    {"name": None, "means": [[0.1, 0.9], [0.4, 0.2]]},
+    {"name": {"a": 1}, "means": [[0.1, 0.9], [0.4, 0.2]]},
+    {"name": 7, "means": [[0.1, 0.9], [0.4, 0.2]]},
+    {"name": ["x"], "means": [[0.1, 0.9], [0.4, 0.2]]},
+    {"name": True, "means": [[0.1, 0.9], [0.4, 0.2]]},
 ])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(MalformedDocumentError):
