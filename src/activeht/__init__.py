@@ -20,11 +20,9 @@ from .model import (
 from .oracle import (
     Allocation,
     DegenerateInstanceError,
-    GridTooLargeError,
     OracleCache,
     OracleError,
     OracleSolution,
-    grid_oracle,
     oracle_allocation,
     worst_case_rate,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "DiagnosticsTrace",
     "Environment",
     "ExperimentConfig",
-    "GridTooLargeError",
     "IdentifiabilityError",
     "MalformedDocumentError",
     "ModelError",
@@ -79,7 +76,6 @@ __all__ = [
     "ctrack_select",
     "eliminate",
     "greedy_select",
-    "grid_oracle",
     "kl",
     "llr",
     "load_environment",

@@ -9,14 +9,17 @@ for accumulating evidence against the hardest opponent.
 The optimizer solves the equivalent linear program on its own dense
 two-phase simplex tableau, phase 2 without the artificial columns, with
 Bland's anti-cycling pivot rule, so results are deterministic for fixed
-inputs.  ``grid_oracle`` is an independent brute-force check used by the
-test suite; it never feeds the solver.
+inputs.  Each solution also carries the LP's dual weights lambda on the
+opponents, a certificate of optimality: no allocation can beat
+``max_a sum_g lambda_g d_a(h, g)``, and the test suite requires that value
+to match the rate within 1e-6 of the largest divergence.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import comb
+from math import isfinite
 
 import numpy as np
 
@@ -37,10 +40,6 @@ class DegenerateInstanceError(OracleError):
     rate is exactly 0 and no allocation can make progress against it."""
 
 
-class GridTooLargeError(OracleError):
-    """Brute-force enumeration was asked for an intractable grid."""
-
-
 @dataclass(frozen=True)
 class Allocation:
     """A point on the action simplex."""
@@ -52,6 +51,8 @@ class Allocation:
             raise OracleError("allocation must have at least one weight")
         cleaned = []
         for w in self.weights:
+            if not isfinite(w):
+                raise OracleError(f"non-finite allocation weight {w}")
             if w < -WEIGHT_CLAMP:
                 raise OracleError(f"negative allocation weight {w}")
             cleaned.append(max(w, 0.0))
@@ -63,10 +64,18 @@ class Allocation:
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """An optimizer of the max-min program and the rate it achieves."""
+    """An optimizer of the max-min program and the rate it achieves.
+
+    ``dual_weights`` certifies the optimum: opponent weights lambda, aligned
+    with the sorted opponents, on the simplex (up to rounding), with
+    ``max_a sum_g lambda_g d_a(h, g)`` equal to ``rate``.  No allocation can
+    beat that value, since its worst opponent rate is at most its
+    lambda-average, so the gap between the two bounds the suboptimality.
+    """
 
     allocation: Allocation
     rate: float
+    dual_weights: tuple[float, ...]
 
 
 def worst_case_rate(env: Environment, h: int, S, w) -> float:
@@ -94,21 +103,25 @@ def oracle_allocation(env: Environment, h: int, S) -> OracleSolution:
         raise DegenerateInstanceError(
             f"opponents {dead} are indistinguishable from hypothesis {h}: rate 0"
         )
-    weights = _solve_maxmin(env, h, opponents)
+    weights, dual = _solve_maxmin(env, h, opponents)
     alloc = Allocation(weights)
-    return OracleSolution(allocation=alloc, rate=worst_case_rate(env, h, opponents, alloc))
+    return OracleSolution(allocation=alloc, rate=worst_case_rate(env, h, opponents, alloc),
+                          dual_weights=dual)
 
 
-def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float, ...]:
+def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
+    """The optimal action weights and opponent (dual) weights, as tuples."""
     num_actions = env.num_actions
     d = env.kl_table
     if num_actions == 1:
-        return (1.0,)
+        # The rate is the smallest divergence: all dual mass on its opponent.
+        worst = int(np.argmin(d[0, h, opponents]))
+        return (1.0,), tuple(1.0 if i == worst else 0.0 for i in range(len(opponents)))
     if len(opponents) == 1:
         # Single minimum term: all mass on the most informative action.
         g = opponents[0]
         best = int(np.argmax(d[:, h, g]))
-        return tuple(1.0 if a == best else 0.0 for a in range(num_actions))
+        return tuple(1.0 if a == best else 0.0 for a in range(num_actions)), (1.0,)
 
     # Variables x = (w_0..w_{A-1}, z, s_g...), all nonnegative:
     #   sum_a d_a(h,g) w_a - z - s_g = 0   for each opponent g
@@ -132,6 +145,7 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     tab[-1, :z] = 1.0
     tab[:, n:] = np.eye(m)
     aug[-1, -1] = 1.0
+    constraints = tab[:, :n].copy()
     basis = list(range(n, n + m))
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     # phase1_cost[basis], kept up to date at each pivot.
@@ -146,23 +160,21 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     if float(basis_cost @ aug[:, -1]) > 1e-7:
         raise OracleError("max-min program reported infeasible (solver bug)")
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = []
+    # Drive leftover artificials out of the basis.  No row is ever redundant:
+    # every pivot keeps artificial column n + j exactly equal to minus slack
+    # column z + 1 + j, and the sum row's artificial column equal to the
+    # right-hand side.  So a row whose basic variable is the artificial of
+    # opponent row j holds -1 under that slack, and the sum row's artificial
+    # is not basic after a feasible phase 1, since its row would hold 1.
     for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
-        if not cols.size:
-            continue
-        _pivot(aug, basis, i, int(cols[0]))
-        keep.append(i)
+        if basis[i] >= n:
+            cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
+            _pivot(aug, basis, i, int(cols[0]))
 
     # The artificial columns have left the basis for good: phase 2 runs on
     # the first n columns and the right-hand side only.
-    aug = aug[keep][:, [*range(n), n + m]]
+    aug = aug[:, [*range(n), n + m]]
     tab = aug[:, :-1]
-    basis = [basis[i] for i in keep]
     cost = np.zeros(n)
     cost[z] = -1.0
     # The cost's one nonzero is -1 on z, so cost[basis] @ tab is minus the row
@@ -174,7 +186,12 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]) -> tuple[float
     x[basis] = aug[:, -1]
     w = np.clip(x[:num_actions], 0.0, None)
     w /= w.sum()
-    return tuple(float(v) for v in w)
+    # The dual of the final basis: y with B^T y = cost[basis], B being the
+    # basic columns of the original constraints.  Its opponent entries are
+    # the weights lambda, with max_a sum_g lambda_g d_a(h, g) = rate by LP
+    # duality; those of basic slacks are 0 up to rounding, clipped like w.
+    y = np.linalg.solve(constraints[:, basis].T, cost[basis])
+    return tuple(float(v) for v in w), tuple(np.maximum(y[:-1], 0.0).tolist())
 
 
 def _bland_iterate(aug, basis, price):
@@ -220,65 +237,16 @@ def _pivot(aug, basis, row, col):
     basis[row] = col
 
 
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _compositions(num_parts: int, total: int) -> np.ndarray:
-    """Integer rows of length num_parts summing to total, lexicographic."""
-    if num_parts == 1:
-        return np.array([[float(total)]])
-    if num_parts == 2:
-        i = np.arange(total + 1, dtype=float)
-        return np.column_stack([i, total - i])
-    parts = []
-    for i in range(total + 1):
-        sub = _compositions(num_parts - 1, total - i)
-        parts.append(np.column_stack([np.full(len(sub), float(i)), sub]))
-    return np.vstack(parts)
-
-
-def _simplex_grid(num_actions: int, n: int) -> np.ndarray:
-    key = (num_actions, n)
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
-    points = comb(n + num_actions - 1, num_actions - 1)
-    if points > 20_000_000:
-        raise GridTooLargeError(
-            f"{points} grid points for {num_actions} actions at resolution 1/{n}"
-        )
-    grid = _compositions(num_actions, n) / n
-    grid.setflags(write=False)
-    _GRID_CACHE[key] = grid
-    return grid
-
-
-def grid_oracle(env: Environment, h: int, S, step: float) -> OracleSolution:
-    """Exhaustive simplex-grid maximizer; the independent check for the LP.
-
-    Only intended for small instances (at most 4 actions); the returned rate
-    is within ``step * max divergence`` of the true optimum.
-    """
-    opponents = _check_opponents(env, h, S)
-    if env.num_actions > 4:
-        raise GridTooLargeError(
-            f"{env.num_actions} actions cannot be enumerated; limit is 4"
-        )
-    if not 0.0 < step <= 0.5:
-        raise OracleError(f"step must lie in (0, 0.5], got {step}")
-    n = max(1, round(1.0 / step))
-    grid = _simplex_grid(env.num_actions, n)
-    d = env.kl_table
-    rows = np.column_stack([d[:, h, g] for g in opponents])
-    rates = (grid @ rows).min(axis=1)
-    best = int(np.argmax(rates))
-    alloc = Allocation(tuple(float(v) for v in grid[best]))
-    return OracleSolution(allocation=alloc, rate=float(rates[best]))
-
-
 def _check_opponents(env: Environment, h: int, S) -> list[int]:
+    # operator.index takes ints and numpy integers but no float, so 1.7 is
+    # rejected rather than truncated to 1.
+    try:
+        h = operator.index(h)
+        opponents = sorted({operator.index(g) for g in S})
+    except TypeError:
+        raise OracleError(f"indices must be integers: h = {h!r}, S = {S!r}") from None
     if not 0 <= h < env.num_hypotheses:
         raise IndexError(f"hypothesis index {h} out of range")
-    opponents = sorted(set(int(g) for g in S))
     if not opponents:
         raise OracleError("opponent set must be nonempty")
     if h in opponents:
@@ -308,7 +276,7 @@ class OracleCache:
     def target(self, h: int, S) -> tuple[tuple[float, ...], float]:
         mask = 0
         for g in S:
-            mask |= 1 << g
+            mask |= 1 << int(g)
         key = (h, mask)
         hit = self._solutions.get(key)
         if hit is not None:

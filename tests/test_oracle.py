@@ -7,17 +7,15 @@ import pytest
 from activeht import (
     Allocation,
     DegenerateInstanceError,
-    GridTooLargeError,
     OracleCache,
     OracleError,
-    grid_oracle,
     load_environment,
     oracle_allocation,
     worst_case_rate,
 )
 from activeht.oracle import RATE_TOL
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, certified_allocation
 
 
 def cross_env():
@@ -51,6 +49,13 @@ class TestAllocation:
         with pytest.raises(OracleError):
             Allocation((0.7, 0.2))
 
+    def test_non_finite_weights_rejected(self, skewed):
+        for weights in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(OracleError):
+                Allocation(weights)
+        with pytest.raises(OracleError):
+            worst_case_rate(skewed, 0, (1, 2), (math.nan,) * 5)
+
 
 class TestWorstCaseRate:
     def test_unit_mass_reduces_to_divergence_row_minimum(self, skewed):
@@ -78,33 +83,53 @@ class TestWorstCaseRate:
         with pytest.raises(OracleError):
             worst_case_rate(skewed, 0, (0, 1), w)
 
+    def test_non_integral_indices_rejected_not_truncated(self, skewed):
+        w = (0.2,) * 5
+        for h, S in ((0, [1.7, 2]), (0, [1.0, 2]), (0, np.array([1.0, 2.0])), (0.0, [1, 2])):
+            with pytest.raises(OracleError):
+                worst_case_rate(skewed, h, S, w)
+            with pytest.raises(OracleError):
+                oracle_allocation(skewed, h, S)
+
+    def test_numpy_integer_indices_accepted(self, skewed):
+        plain = certified_allocation(skewed, 0, [1, 2])
+        assert certified_allocation(skewed, np.int64(0), np.array([2, 1], dtype=np.int32)) == plain
+        assert worst_case_rate(skewed, np.int32(0), np.array([1, 2]), plain.allocation) == plain.rate
+
 
 class TestOracleAllocation:
     def test_singleton_opponent_takes_best_action_lowest_index(self, skewed):
         # divergence row of (0 vs 1) is (0.08, 0.02, 0.045, 0.08, 0.02):
         # actions 0 and 3 tie, so the lowest index wins.
-        sol = oracle_allocation(skewed, 0, [1])
+        sol = certified_allocation(skewed, 0, [1])
         assert sol.allocation.weights == (1.0, 0.0, 0.0, 0.0, 0.0)
         assert sol.rate == pytest.approx(0.08)
+        assert sol.dual_weights == (1.0,)
 
     def test_cross_instance_optimum(self):
         env = cross_env()
-        sol = oracle_allocation(env, 0, [1, 2])
+        sol = certified_allocation(env, 0, [1, 2])
         assert sol.rate == pytest.approx(0.5, abs=1e-9)
-        grid = grid_oracle(env, 0, [1, 2], 0.001)
-        assert abs(sol.rate - grid.rate) <= 0.001
+        assert sol.dual_weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_single_action_environment(self):
         env = load_environment({"name": "one", "means": [[0.0, 10.0]]})
-        sol = oracle_allocation(env, 0, [1])
+        sol = certified_allocation(env, 0, [1])
         assert sol.allocation.weights == (1.0,)
         assert sol.rate == pytest.approx(50.0)
+
+    def test_single_action_dual_is_the_closest_opponent(self):
+        # Divergences 4.5, 0.5 and 2.0: the rate is 0.5, all against opponent 2.
+        env = load_environment({"name": "one", "means": [[0.0, 3.0, 1.0, 2.0]]})
+        sol = certified_allocation(env, 0, [3, 1, 2])
+        assert sol.rate == pytest.approx(0.5)
+        assert sol.dual_weights == (0.0, 1.0, 0.0)
 
     def test_skewed_full_set_value(self, skewed):
         # Hand-checkable structure: opponent 2 is informative only under
         # action 4, opponent 3 only meaningfully under action 3, giving
         # w* = (0, 0, 0, 0.1, 0.9) and value 0.018.
-        sol = oracle_allocation(skewed, 0, [1, 2, 3, 4])
+        sol = certified_allocation(skewed, 0, [1, 2, 3, 4])
         assert sol.rate == pytest.approx(0.018, abs=1e-9)
 
     def test_degenerate_pair_is_an_error(self, degenerate):
@@ -118,16 +143,49 @@ class TestOracleAllocation:
             opponents = live_opponents(env, 0)
             if not opponents:
                 continue
-            sol = oracle_allocation(env, 0, opponents)
+            sol = certified_allocation(env, 0, opponents)
             assert min(sol.allocation.weights) >= 0.0
             assert sum(sol.allocation.weights) == pytest.approx(1.0, abs=1e-9)
             achieved = worst_case_rate(env, 0, opponents, sol.allocation)
             assert sol.rate == pytest.approx(achieved, abs=1e-8)
 
     def test_deterministic_for_fixed_inputs(self, skewed):
-        a = oracle_allocation(skewed, 2, [0, 1, 3, 4])
-        b = oracle_allocation(skewed, 2, [0, 1, 3, 4])
+        a = certified_allocation(skewed, 2, [0, 1, 3, 4])
+        b = certified_allocation(skewed, 2, [0, 1, 3, 4])
         assert a == b
+
+    def test_drive_out_pivot_on_a_near_collapsed_opponent(self):
+        # Opponent 1 differs from 0 only under action 0, by a divergence of
+        # 5e-13, below the pivot tolerance: phase 1 ends with that row's
+        # artificial basic at level 0, and the drive-out pivots it out.
+        env = load_environment({"name": "near", "means": [[0.0, 1e-6, 1.0], [0.0, 0.0, 1.0]]},
+                               strict=False)
+        sol = certified_allocation(env, 0, [1, 2])
+        assert sol.allocation.weights == (1.0, 0.0)
+        assert sol.rate == pytest.approx(5e-13, rel=1e-9)
+        assert sol.dual_weights == pytest.approx((1.0, 0.0), abs=1e-12)
+
+    def test_random_instances_up_to_40_actions(self):
+        """K != A, any candidate, and in a third of the instances an
+        opponent within 1e-7 of the candidate in half of the actions."""
+        rng = np.random.default_rng(BASE_SEED + 8)
+        checked = 0
+        for i in range(60):
+            num_actions, num_hypotheses = (int(v) for v in rng.integers(2, 41, size=2))
+            means = rng.uniform(0, 1, size=(num_actions, num_hypotheses))
+            h = int(rng.integers(num_hypotheses))
+            if i % 3 == 0:
+                g = (h + 1) % num_hypotheses
+                means[:, g] = means[:, h] + (rng.normal(0, 1e-7, size=num_actions)
+                                             * (rng.random(num_actions) < 0.5))
+            env = load_environment({"name": "rand", "means": means.tolist()}, strict=False)
+            opponents = live_opponents(env, h)
+            if not opponents:
+                continue
+            size = int(rng.integers(1, len(opponents) + 1))
+            certified_allocation(env, h, rng.choice(opponents, size=size, replace=False))
+            checked += 1
+        assert checked >= 50
 
 
 # SHA-256 over float.hex() of every weight and rate on the grid below,
@@ -148,7 +206,7 @@ class TestPinnedLargeInstances:
                 for _ in range(5):
                     env = random_env(rng, num_actions, num_actions)
                     chosen = rng.choice(np.arange(1, num_actions), size=size, replace=False)
-                    sol = oracle_allocation(env, 0, chosen.tolist())
+                    sol = certified_allocation(env, 0, chosen.tolist())
                     for v in (*sol.allocation.weights, sol.rate):
                         digest.update(v.hex().encode() + b"\n")
         assert digest.hexdigest() == PINNED_LP_SHA256
@@ -157,7 +215,7 @@ class TestPinnedLargeInstances:
         rng = np.random.default_rng(BASE_SEED + 7)
         env = random_env(rng, 24, 24)
         opponents = live_opponents(env, 0)
-        sol = oracle_allocation(env, 0, opponents)
+        sol = certified_allocation(env, 0, opponents)
         rows = env.kl_table[:, 0, opponents]
         # Half spread over the simplex, half concentrated near its faces.
         draws = np.vstack([rng.dirichlet(np.full(24, 1.0), size=1000),
@@ -165,38 +223,6 @@ class TestPinnedLargeInstances:
         assert (draws @ rows).min(axis=1).max() <= sol.rate + RATE_TOL
         achieved = float((np.array(sol.allocation.weights) @ rows).min())
         assert achieved == pytest.approx(sol.rate, abs=RATE_TOL)
-
-
-class TestGridOracle:
-    def test_matches_trivial_singleton_exactly(self):
-        env = cross_env()
-        for step in (0.5, 0.1, 0.01):
-            grid = grid_oracle(env, 0, [1], step)
-            assert grid.rate == pytest.approx(1.0, abs=1e-12)
-
-    def test_grid_suboptimality_bound(self):
-        rng = np.random.default_rng(BASE_SEED + 2)
-        for _ in range(30):
-            env = random_env(rng, int(rng.integers(2, 4)), 4)
-            opponents = live_opponents(env, 0)
-            if not opponents:
-                continue
-            lp = oracle_allocation(env, 0, opponents)
-            grid = grid_oracle(env, 0, opponents, 0.01)
-            biggest = max(float(env.max_divergence[0][g]) for g in opponents)
-            assert lp.rate >= grid.rate - 1e-9
-            assert lp.rate <= grid.rate + 0.01 * biggest + 1e-9
-
-    def test_too_many_actions_rejected(self, skewed):
-        with pytest.raises(GridTooLargeError):
-            grid_oracle(skewed, 0, [1], 0.01)
-
-    def test_bad_step_rejected(self):
-        env = cross_env()
-        with pytest.raises(OracleError):
-            grid_oracle(env, 0, [1], 0.7)
-        with pytest.raises(OracleError):
-            grid_oracle(env, 0, [1], 0.0)
 
 
 class TestStructuralProperties:
@@ -210,8 +236,8 @@ class TestStructuralProperties:
                 continue
             size = int(rng.integers(1, len(opponents)))
             subset = sorted(rng.choice(opponents, size=size, replace=False).tolist())
-            big = oracle_allocation(env, 0, opponents)
-            small = oracle_allocation(env, 0, subset)
+            big = certified_allocation(env, 0, opponents)
+            small = certified_allocation(env, 0, subset)
             assert small.rate >= big.rate - 1e-9
             done += 1
 
@@ -255,7 +281,7 @@ class TestStructuralProperties:
 class TestOracleCache:
     def test_cache_returns_same_solution_as_direct_solve(self, skewed):
         cache = OracleCache(skewed)
-        direct = oracle_allocation(skewed, 0, [1, 2, 3])
+        direct = certified_allocation(skewed, 0, [1, 2, 3])
         cached_w, cached_rate = cache.target(0, {1, 2, 3})
         assert cached_w == direct.allocation.weights
         assert cached_rate == direct.rate
@@ -269,6 +295,17 @@ class TestOracleCache:
         assert sum(w) == pytest.approx(1.0, abs=1e-9)
         # mass flows to actions that still separate 3 from its live opponents
         assert w[4] > 0.5
+
+    def test_keys_of_opponents_past_63_do_not_collide(self):
+        # 1 << g for a numpy integer g >= 64 wraps to 0, so {1, 66} and
+        # {1, 65} once shared a key.
+        rng = np.random.default_rng(BASE_SEED + 9)
+        env = random_env(rng, 3, 70)
+        cache = OracleCache(env)
+        cache.target(0, np.array([1, 65]))
+        for S in ([1, 66], np.array([1, 66]), np.array([1, 67])):
+            direct = certified_allocation(env, 0, S)
+            assert cache.target(0, S) == (direct.allocation.weights, direct.rate)
 
     def test_all_collapsed_falls_back_to_uniform(self, degenerate):
         cache = OracleCache(degenerate)
