@@ -70,6 +70,7 @@ reference of the same rules.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from math import inf, isfinite, log, sqrt
 
@@ -379,12 +380,14 @@ def run_trials(
     step at a time; an unrecorded batch of at most ``_RUN_AHEAD_CELLS``
     log-likelihoods, of any kinds, runs ahead in blocks of steps.
     """
+    # operator.index rejects seed 1.7 or "7" instead of truncating or parsing.
+    true_h = operator.index(true_h)
+    seeds = [operator.index(s) for s in seeds]
     if not 0 <= true_h < env.num_hypotheses:
         raise IndexError(f"true hypothesis {true_h} out of range")
     if env.num_hypotheses < 2:
         raise ValueError("identification needs at least two hypotheses")
     cfgs = [resolve_config(cfg, env) for cfg in cfgs]
-    seeds = [int(s) for s in seeds]
     if len(cfgs) != len(seeds):
         raise ValueError(f"{len(cfgs)} configs for {len(seeds)} seeds")
     if not cfgs:

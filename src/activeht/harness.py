@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import operator
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -124,9 +125,9 @@ class SummaryRow:
 
 def trial_seed(base_seed: int, policy: str, delta: float, alpha: float, index: int) -> int:
     """Stable per-trial seed of one (policy, delta, alpha) cell."""
-    payload = struct.pack("<ddq", float(delta), float(alpha), int(index)) + policy.encode()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return (int(base_seed) ^ int.from_bytes(digest, "little")) & ((1 << 63) - 1)
+    payload = struct.pack("<ddq", float(delta), float(alpha), operator.index(index))
+    digest = hashlib.blake2b(payload + policy.encode(), digest_size=8).digest()
+    return (operator.index(base_seed) ^ int.from_bytes(digest, "little")) & ((1 << 63) - 1)
 
 
 def aggregate(results, *, environment: str = "", policy: str = "",
@@ -160,12 +161,6 @@ def aggregate(results, *, environment: str = "", policy: str = "",
         trials=len(results),
         wrong=wrong,
     )
-
-
-def resolve_environment(source) -> Environment:
-    if isinstance(source, Environment):
-        return source
-    return load_environment(source)
 
 
 # Per-process state: the environment and the allocation cache are built once
@@ -214,7 +209,7 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     batches of at most ``ROW_CAP`` rows, one per worker at least (while
     there are enough trials); the pool opens no more workers than batches.
     """
-    env = resolve_environment(ecfg.environment)
+    env = load_environment(ecfg.environment)
     cells = list(product(ecfg.policies, ecfg.deltas, ecfg.alphas))
     cfgs, seeds = [], []
     for cell in cells:

@@ -36,6 +36,9 @@ class IdentifiabilityError(ModelError):
 class Environment:
     """Immutable problem instance.
 
+    Construction checks shapes and ranges only: hypothesis pairs that no
+    action separates are allowed, and ``load_environment`` rejects them.
+
     Attributes:
         name: human-readable label, carried into result tables as a CSV
             field, so it holds no comma or line break.
@@ -218,26 +221,21 @@ def preset_environment(name: str) -> Environment:
     return Environment(name=name, means=table, sigma=1.0)
 
 
-def load_environment(source, strict: bool = True) -> Environment:
-    """Build a validated Environment from a preset name, file, dict, or JSON text.
+def load_environment(source) -> Environment:
+    """The Environment a preset name, file, dict or JSON text describes.
 
     The document format is a JSON object with fields ``name``, ``means``
-    (actions as rows) and optional ``sigma`` (default 1.0).
-
-    With ``strict=True`` (the default for user documents), any hypothesis
-    pair with identical mean columns is rejected, since no sensing action
-    could ever separate the two.  Presets are trusted and load as published;
-    set ``strict=False`` to accept user documents with the same structure as
-    the degenerate preset.  A hypothesis indistinguishable from *every*
-    other hypothesis is rejected unconditionally.
+    (actions as rows) and optional ``sigma`` (default 1.0).  A document in
+    which no action separates some hypothesis pair is rejected.  Presets are
+    trusted and load as published, and an Environment is returned as built.
     """
     if isinstance(source, Environment):
-        env = source
-    elif isinstance(source, str) and source in _PRESET_TABLES:
+        return source
+    if isinstance(source, str) and source in _PRESET_TABLES:
         return preset_environment(source)
-    else:
-        env = _environment_from_document(_read_document(source))
-    _validate_identifiability(env, strict=strict)
+    env = _environment_from_document(_read_document(source))
+    if pairs := env.indistinguishable_pairs():
+        raise IdentifiabilityError(f"no action distinguishes hypothesis pairs {pairs}")
     return env
 
 
@@ -295,21 +293,3 @@ def _number(value, field: str) -> float:
         return float(value)
     except OverflowError:
         raise MalformedDocumentError(f"{field} overflows a float") from None
-
-
-def _validate_identifiability(env: Environment, strict: bool) -> None:
-    pairs = env.indistinguishable_pairs()
-    if not pairs:
-        return
-    if strict:
-        raise IdentifiabilityError(
-            f"no action distinguishes hypothesis pairs {pairs}; "
-            "pass strict=False to accept anyway"
-        )
-    k = env.num_hypotheses
-    collapsed = {h for pair in pairs for h in pair}
-    for h in collapsed:
-        if sum(1 for g in range(k) if g != h and env.max_divergence[h][g] == 0.0) == k - 1:
-            raise IdentifiabilityError(
-                f"hypothesis {h} is indistinguishable from every other hypothesis"
-            )

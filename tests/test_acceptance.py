@@ -61,7 +61,7 @@ def _random_instance(rng):
     num_actions = int(rng.integers(2, 4))
     num_hypotheses = int(rng.integers(2, 5))
     means = rng.uniform(0.0, 1.0, size=(num_actions, num_hypotheses))
-    env = load_environment({"name": "rand", "means": means.tolist()}, strict=False)
+    env = load_environment({"name": "rand", "means": means.tolist()})
     opponents = [g for g in range(1, num_hypotheses) if env.max_divergence[0][g] > 0][:3]
     return env, opponents
 

@@ -39,9 +39,35 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "delta" in err
 
-    def test_bad_environment_is_validation_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["env", "--env", "missing-env"])
+    @pytest.mark.parametrize("source, field", [
+        ("missing-env", "neither a preset name nor an existing file"),
+        ('{"name": "x", "means": [[0, Infinity], [0.5, 0.2]]}', "non-finite"),
+        ('{"name": "x", "means": []}', "non-empty"),
+        # no action separates hypotheses 0 and 1
+        ('{"name": "x", "means": [[0.3, 0.3, 0.1], [0.7, 0.7, 0.2]]}', "[(0, 1)]"),
+        # Text that does not open with "{" names a file, so the list is read
+        # from one.
+        ([[0.1, 0.9], [0.4, 0.2]], "JSON object"),
+    ])
+    def test_bad_environment_is_validation_error(self, capsys, tmp_path, source, field):
+        if not isinstance(source, str):
+            path = tmp_path / "env.json"
+            path.write_text(json.dumps(source))
+            source = str(path)
+        code, _, err = run_cli(capsys, ["env", "--env", source])
         assert code == EXIT_VALIDATION
+        assert field in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exp1", "--deltas", "0.1,x"],
+        ["solve-oracle", "--h", "0", "--opponents", "1,x"],
+    ])
+    def test_unparsable_list_is_usage_error(self, capsys, tmp_path, argv):
+        command, *flags = argv
+        out = ["--out", str(tmp_path / "out")] if command == "exp1" else []
+        code, _, _ = run_cli(capsys, [command, "--env", "skewed", *flags, *out])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, [
@@ -170,10 +196,16 @@ class TestValidationRules:
         # A null name used to load as the text "None" in every CSV row.
         (["exp1", "--env", '{"name": null, "means": [[0.1, 0.9], [0.4, 0.2]]}', *SMALL_SWEEP],
          "environment name"),
+        (["solve-oracle", "--h", "9", "--opponents", "1,2"], "hypothesis index 9"),
+        (["solve-oracle", "--h", "0", "--opponents", "1,9"], "opponent index 9"),
+        # Divergences of 5e-11, below the simplex's absolute pivot tolerance:
+        # its answer fails its own certificate instead of printing rate 0.
+        (["solve-oracle", "--env", '{"name": "tiny", "means": [[0, 1e-5, 0], [0, 0, 1e-5]]}',
+          "--h", "0", "--opponents", "1,2"], "not certified"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv
-        out = ["--out", str(tmp_path / "out")] if command != "trial" else []
+        out = ["--out", str(tmp_path / "out")] if command in ("exp1", "exp2", "diagnose") else []
         code, _, err = run_cli(capsys, [command, "--env", "skewed", *flags, *out])
         assert code == EXIT_VALIDATION
         assert field in err

@@ -339,9 +339,23 @@ class TestRunTrial:
         cfg = PolicyConfig(kind="TaS", delta=0.1)
         with pytest.raises(IndexError):
             run_trial(skewed, 7, cfg, seed=0)
-        single = load_environment({"name": "solo", "means": [[0.5]]}, strict=False)
+        single = load_environment({"name": "solo", "means": [[0.5]]})
         with pytest.raises(ValueError):
             run_trial(single, 0, cfg, seed=0)
+        # Seeds and the true hypothesis are integers: 1.7 is not truncated
+        # to 1, nor "7" parsed.
+        for true_h, seed in ((0, 1.7), (0, "7"), (1.0, 0), ("1", 0)):
+            with pytest.raises(TypeError):
+                run_trial(skewed, true_h, cfg, seed)
+        with pytest.raises(TypeError):
+            run_trials(skewed, 0, [cfg, cfg], [3, 4.0])
+
+    def test_numpy_and_bool_indices_read_as_ints(self, skewed):
+        cfg = PolicyConfig(kind="TaS", delta=0.1)
+        plain = run_trial(skewed, 1, cfg, seed=3)
+        assert run_trial(skewed, np.int64(1), cfg, seed=np.int32(3)) == plain
+        # operator.index reads True as 1, as list indexing does.
+        assert run_trial(skewed, True, cfg, seed=3) == plain
 
 
 def _mixed_batch(kind, seeds, max_steps):

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import activeht
@@ -61,6 +62,7 @@ class TestAggregate:
         row = aggregate([_result(99, timed_out=True)] * 3)
         assert math.isnan(row.mean_tau)
         assert row.timeouts == row.trials == 3
+        assert row.capped_mean_tau(400) == 400.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -83,6 +85,14 @@ class TestSeeding:
         assert s != trial_seed(7, "TaS", 0.1, 0.5, 3)
         assert s != trial_seed(7, "TaS", 0.1, 1.0, 4)
         assert 0 <= s < 2**63
+
+    def test_integer_seeds_only(self):
+        assert trial_seed(np.int64(7), "TaS", 0.1, 1.0, np.int32(3)) == trial_seed(
+            7, "TaS", 0.1, 1.0, 3)
+        # Seed 1.9 is rejected, not truncated to 1.
+        for base_seed, index in ((1.9, 3), (7, 3.0), ("7", 3)):
+            with pytest.raises(TypeError):
+                trial_seed(base_seed, "TaS", 0.1, 1.0, index)
 
 
 class TestConfigValidation:

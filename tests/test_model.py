@@ -23,10 +23,14 @@ def test_skewed_preset_matches_published_matrix(skewed):
     assert skewed.means[0] == (0.5, 0.9, 0.5, 0.3, 0.7)
 
 
-def test_identical_columns_rejected():
-    doc = {"name": "bad", "means": [[0.3, 0.3], [0.7, 0.7]]}
+@pytest.mark.parametrize("means", [
+    [[0.3, 0.3], [0.7, 0.7]],
+    # hypothesis 0 is indistinguishable from every other hypothesis
+    [[0.5, 0.5, 0.5], [0.2, 0.2, 0.2]],
+])
+def test_identical_columns_rejected(means):
     with pytest.raises(IdentifiabilityError):
-        load_environment(doc)
+        load_environment({"name": "bad", "means": means})
 
 
 def test_degenerate_preset_loads_with_one_collapsed_pair(degenerate):
@@ -43,18 +47,11 @@ def test_degenerate_preset_loads_with_one_collapsed_pair(degenerate):
                 assert maxd[h][g] > 0
 
 
-def test_strict_flag_controls_collapsed_pair_documents(degenerate):
+def test_collapsed_pair_documents_rejected(degenerate):
+    # The preset is trusted; a document with the same matrix is not.
     doc = {"name": "copy", "means": [list(r) for r in degenerate.means]}
-    with pytest.raises(IdentifiabilityError):
+    with pytest.raises(IdentifiabilityError, match=r"\[\(3, 4\)\]"):
         load_environment(doc)
-    env = load_environment(doc, strict=False)
-    assert env.indistinguishable_pairs() == [(3, 4)]
-
-
-def test_fully_indistinct_hypothesis_rejected_even_relaxed():
-    doc = {"name": "worse", "means": [[0.5, 0.5, 0.5], [0.2, 0.2, 0.2]]}
-    with pytest.raises(IdentifiabilityError):
-        load_environment(doc, strict=False)
 
 
 @pytest.mark.parametrize("doc", [
@@ -116,6 +113,9 @@ def test_load_sources(tmp_path, skewed):
     assert from_text == from_file
 
     assert load_environment(skewed) is skewed
+    # An Environment is returned as built, even with a collapsed pair.
+    built = Environment(name="pair", means=((0.3, 0.3), (0.7, 0.7)))
+    assert load_environment(built) is built
     with pytest.raises(MalformedDocumentError):
         load_environment("no-such-preset-or-file")
     with pytest.raises(MalformedDocumentError):

@@ -7,15 +7,18 @@ import pytest
 from activeht import (
     Allocation,
     DegenerateInstanceError,
+    Environment,
     OracleCache,
     OracleError,
     load_environment,
     oracle_allocation,
     worst_case_rate,
 )
-from activeht.oracle import RATE_TOL
 
 from conftest import BASE_SEED, certified_allocation
+
+# Slack for a rate recomputed from the returned weights.
+RATE_TOL = 1e-8
 
 
 def cross_env():
@@ -27,9 +30,7 @@ def cross_env():
 
 def random_env(rng, num_actions, num_hypotheses):
     means = rng.uniform(0, 1, size=(num_actions, num_hypotheses))
-    return load_environment(
-        {"name": "rand", "means": means.tolist()}, strict=False
-    )
+    return load_environment({"name": "rand", "means": means.tolist()})
 
 
 def live_opponents(env, h):
@@ -48,6 +49,8 @@ class TestAllocation:
     def test_bad_sum_rejected(self):
         with pytest.raises(OracleError):
             Allocation((0.7, 0.2))
+        with pytest.raises(OracleError):
+            Allocation(())
 
     def test_non_finite_weights_rejected(self, skewed):
         for weights in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
@@ -76,12 +79,16 @@ class TestWorstCaseRate:
             small = worst_case_rate(skewed, 0, (1, 2), tuple(w))
             assert small >= big - 1e-12
 
-    def test_rejects_empty_or_self_opponents(self, skewed):
-        w = (0.2,) * 5
+    @pytest.mark.parametrize("S, w", [
+        ((), (0.2,) * 5),
+        ((0, 1), (0.2,) * 5),
+        # two weights for five actions, and no weight at all
+        ((1, 2), (0.5, 0.5)),
+        ((1, 2), ()),
+    ])
+    def test_rejects_bad_opponents_or_allocation(self, skewed, S, w):
         with pytest.raises(OracleError):
-            worst_case_rate(skewed, 0, (), w)
-        with pytest.raises(OracleError):
-            worst_case_rate(skewed, 0, (0, 1), w)
+            worst_case_rate(skewed, 0, S, w)
 
     def test_non_integral_indices_rejected_not_truncated(self, skewed):
         w = (0.2,) * 5
@@ -158,12 +165,21 @@ class TestOracleAllocation:
         # Opponent 1 differs from 0 only under action 0, by a divergence of
         # 5e-13, below the pivot tolerance: phase 1 ends with that row's
         # artificial basic at level 0, and the drive-out pivots it out.
-        env = load_environment({"name": "near", "means": [[0.0, 1e-6, 1.0], [0.0, 0.0, 1.0]]},
-                               strict=False)
+        env = load_environment({"name": "near", "means": [[0.0, 1e-6, 1.0], [0.0, 0.0, 1.0]]})
         sol = certified_allocation(env, 0, [1, 2])
         assert sol.allocation.weights == (1.0, 0.0)
         assert sol.rate == pytest.approx(5e-13, rel=1e-9)
         assert sol.dual_weights == pytest.approx((1.0, 0.0), abs=1e-12)
+
+    def test_uncertified_solution_raises(self):
+        # Divergences of 5e-11 sit below the absolute pivot tolerance: the
+        # simplex stops at w = (1, 0) with rate 0, against the optimum
+        # 2.5e-11 at (1/2, 1/2), and the dual bound stays at 5e-11.
+        env = load_environment({"name": "tiny", "means": [[0, 1e-5, 0], [0, 0, 1e-5]]})
+        with pytest.raises(OracleError, match="not certified"):
+            oracle_allocation(env, 0, [1, 2])
+        with pytest.raises(OracleError, match="not certified"):
+            OracleCache(env).target(0, [1, 2])
 
     def test_random_instances_up_to_40_actions(self):
         """K != A, any candidate, and in a third of the instances an
@@ -178,7 +194,9 @@ class TestOracleAllocation:
                 g = (h + 1) % num_hypotheses
                 means[:, g] = means[:, h] + (rng.normal(0, 1e-7, size=num_actions)
                                              * (rng.random(num_actions) < 0.5))
-            env = load_environment({"name": "rand", "means": means.tolist()}, strict=False)
+            # Built directly: with no action perturbed, columns g and h
+            # coincide, which a document may not hold.
+            env = Environment(name="rand", means=tuple(map(tuple, means.tolist())))
             opponents = live_opponents(env, h)
             if not opponents:
                 continue
