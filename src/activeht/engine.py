@@ -18,22 +18,28 @@ Trials are pure functions of (environment, true hypothesis, config, seed).
 ``run_trials`` runs a batch of R trials in lockstep, of any mix of policy
 kinds: the state is a set of numpy arrays with one row per trial
 (log-likelihoods (R, K), counts and cumulative targets (R, A), champions
-(R,), active sets (R, K, K)).  Rows sit in contiguous kind slices, ordered
-as ``POLICY_KINDS``, and each rule runs on the slices of the kinds it
-belongs to (C-tracking on TaS/StopElim/FullElim, the greedy pick on Greedy,
-the stop rule on Greedy/TaS, elimination on StopElim/FullElim); the kinds
-share t, since they share b, c and max_steps.  A finished trial's result
-is recorded at once, and its row is compacted out once finished rows are a
-fixed share of the batch or fill a whole kind slice.  Every operation is
-elementwise or a per-row reduction, so each row is bit-identical to the
-trial run on its own, and results do not depend on how trials are batched:
+(R,), active sets (R, K, K), opponent-set ids (R, K)).  Rows sit in
+contiguous kind slices, ordered as ``POLICY_KINDS``, and each rule runs on
+the slices of the kinds it belongs to (C-tracking on TaS/StopElim/FullElim,
+the greedy pick on Greedy, the stop rule on Greedy/TaS, elimination on
+StopElim/FullElim); the kinds share t, since they share b, c and
+max_steps.  A finished trial's result is recorded at once, and its row is
+compacted out once finished rows are a fixed share of the batch or fill a
+whole kind slice.  Every operation is elementwise or a per-row reduction,
+so each row is bit-identical to the trial run on its own, and results do
+not depend on how trials are batched:
 
 * each trial draws from its own ``default_rng(seed)`` stream in blocks of
   512 normals; the step count is shared, so all rows refill together;
 * per-step scalars (the forced-exploration floor, ``b*log(t) + c``) are
   computed once per step with ``math``;
-* the tracking target is fetched from the ``OracleCache`` only when a
-  running trial's champion changes or, for FullElim, an elimination fires.
+* tracking targets are looked up by opponent-set id: every (candidate,
+  opponent set) the batch tracks has an id, ids 0..K-1 being the full sets,
+  and each row holds the ids of its candidates' sets, so a FullElim
+  elimination rewrites one id.  Each step gathers the tracking rows'
+  targets by id and forms the floored increment once per id in use; an id
+  is solved through the ``OracleCache`` the first time a running trial
+  tracks it.
 
 While no diagnostics are recorded and the batch holds at most
 ``_RUN_AHEAD_CELLS`` log-likelihoods (a small batch of any kinds, a large
@@ -128,6 +134,11 @@ class PolicyConfig:
             raise ValueError(f"threshold slope b must be positive and finite, got {self.b}")
         if self.c is not None and not isfinite(self.c):
             raise ValueError(f"threshold offset c must be finite, got {self.c}")
+        # operator.index rejects a cap of 10.5 instead of running past it.
+        try:
+            object.__setattr__(self, "max_steps", operator.index(self.max_steps))
+        except TypeError:
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -363,6 +374,45 @@ class _Rows:
         return [getattr(self, name)[lo:hi] for name in names]
 
 
+class _SetTable:
+    """The tracking targets of a lockstep batch, by opponent-set id.
+
+    Ids 0..K-1 are the full sets; ``add`` numbers a reduced set the first
+    time a FullElim row is left with it.  ``weights[i]`` and ``floor[i]``
+    (their minimum) stay zero until ``solve`` takes set i from the cache.
+    """
+
+    def __init__(self, cache: OracleCache, k: int, num_actions: int):
+        self.cache = cache
+        # (candidate, opponents) of each id, and the ids of reduced sets.
+        self.sets = [(h, [g for g in range(k) if g != h]) for h in range(k)]
+        self.ids = {}
+        self.weights = np.zeros((k, num_actions))
+        self.floor = np.zeros(k)
+        self.solved = np.zeros(k, dtype=bool)
+
+    def add(self, h: int, survivors) -> int:
+        """The id of candidate h against the opponents flagged in ``survivors``."""
+        key = (h, survivors.tobytes())
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.sets)
+            self.sets.append((h, survivors.nonzero()[0].tolist()))
+            if i == len(self.floor):
+                self.weights, self.floor, self.solved = (
+                    np.concatenate((x, np.zeros_like(x)))
+                    for x in (self.weights, self.floor, self.solved))
+        return i
+
+    def solve(self, ids) -> None:
+        for i in ids:
+            if not self.solved[i]:
+                w, _ = self.cache.target(*self.sets[i])
+                self.weights[i] = w
+                self.floor[i] = min(w)
+                self.solved[i] = True
+
+
 def run_trials(
     env: Environment,
     true_h: int,
@@ -376,7 +426,9 @@ def run_trials(
     The configs may mix policy kinds and differ in delta and alpha, but share
     the threshold shape (b, c) and max_steps, so the step count is shared.
     Result i is the same however the trials are batched (see the module
-    docstring).  Diagnostics are recorded for a batch of one trial only, one
+    docstring).  The batch looks its tracking targets up by opponent-set id
+    and solves each set through ``cache`` the first time a running trial
+    tracks it.  Diagnostics are recorded for a batch of one trial only, one
     step at a time; an unrecorded batch of at most ``_RUN_AHEAD_CELLS``
     log-likelihoods, of any kinds, runs ahead in blocks of steps.
     """
@@ -406,7 +458,7 @@ def run_trials(
     true_means = means[:, true_h]
     sigma = env.sigma
     scale = -0.5 / (sigma * sigma)
-    full_opponents = [tuple(g for g in range(k) if g != i) for i in range(k)]
+    table = _SetTable(cache, k, num_actions)
 
     trace = None
     if record_diagnostics:
@@ -439,11 +491,8 @@ def run_trials(
         counts=np.zeros((n, num_actions), dtype=np.int64),
         target=np.zeros((n, num_actions)),
         champion=np.zeros(n, dtype=np.intp),
-        # The tracked target: its weights, their minimum, and the champion it
-        # was fetched for (-1 forces a fetch).
-        weights=np.zeros((n, num_actions)),
-        wmin=np.zeros(n),
-        tracked=np.full(n, -1),
+        # set_ids[r, h]: the table id of candidate h's opponent set.
+        set_ids=np.arange(k)[None].repeat(n, axis=0),
         rival=np.zeros(n, dtype=np.intp),
         # active[r, h, g]: g survives in candidate h's opponent set.
         active=~np.eye(k, dtype=bool)[None].repeat(n, axis=0),
@@ -463,8 +512,11 @@ def run_trials(
         row_k = row * k
         row_a = row * num_actions
         champion = rows.champion
-        tracked, tracking_champion, wmin, weights, target, tracking_counts = rows.part(
-            g, n, "tracked", "champion", "wmin", "weights", "target", "counts")
+        at_champion = row_k + champion
+        set_ids = rows.set_ids.reshape(-1)
+        active = rows.active.reshape(-1, k)
+        tracking_champion, target, tracking_counts = rows.part(
+            g, n, "champion", "target", "counts")
         greedy_champion, greedy_rival = rows.part(0, g, "champion", "rival")
         stop_loglik, rival = rows.part(0, s, "loglik", "rival")
         stop_k = row_k[:s]
@@ -478,25 +530,26 @@ def run_trials(
         while not compact:
             block = run_ahead and quiet >= _QUIET_STEPS
             if g < n:
-                # A finished row takes no target: a finished FullElim row's
-                # champion may have no opponent left.
-                for r in (tracked != tracking_champion).nonzero()[0].tolist():
-                    ch = int(tracking_champion[r])
-                    tracked[r] = ch
-                    if not rows.live[g + r]:
-                        continue
-                    opponents = rows.active[g + r, ch].nonzero()[0].tolist() if g + r >= f \
-                        else full_opponents[ch]
-                    w, _ = cache.target(ch, opponents)
-                    weights[r] = w
-                    wmin[r] = min(w)
+                # The tracking rows' set ids and the ids in use (bincount,
+                # since np.unique imports numpy.ma on its first call).  Only
+                # a running row's set is solved, so a finished row never
+                # adds a solve.
+                ids = set_ids[at_champion[g:]]
+                used = np.bincount(ids).nonzero()[0]
+                if not table.solved[used].all():
+                    table.solve(set(ids[rows.live[g:]].tolist()))
                 if not block:
-                    # ctrack_select on every tracking row; eta = 0 leaves a
-                    # row's weights as they are, as _floor_projection does
+                    # ctrack_select on every tracking row, its floored
+                    # increment formed once per id in use; eta = 0 leaves a
+                    # set's weights as they are, as _floor_projection does
                     # when min(w) >= eps.
                     eps = 0.5 / sqrt(num_actions * num_actions + t)
-                    eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]
-                    target += (weights + eta) / (1.0 + num_actions * eta)
+                    eta = (np.maximum(eps - table.floor[used], 0.0)
+                           / (1.0 - num_actions * eps))[:, None]
+                    increment = np.empty_like(table.weights)
+                    increment[used] = ((table.weights.take(used, axis=0) + eta)
+                                       / (1.0 + num_actions * eta))
+                    target += increment.take(ids, axis=0)
                     a = (target - tracking_counts).argmax(axis=1)
 
             i = t % _RNG_BLOCK
@@ -526,8 +579,9 @@ def run_trials(
                     np.subtract(true_means[greedy] + drawn[:, :g],
                                 means.take(greedy, axis=0).T[:, None, :], out=gap[:, :, :g])
                 if g < n:
-                    actions, targets = _track_ahead(target, tracking_counts, weights, wmin,
-                                                    t, span)
+                    actions, targets = _track_ahead(
+                        target, tracking_counts, table.weights.take(ids, axis=0),
+                        table.floor[ids], t, span)
                     np.subtract(true_means[actions] + drawn[:, g:], means.T[:, actions],
                                 out=gap[:, :, g:])
                 run = np.empty((k, span + 1, n))
@@ -563,7 +617,7 @@ def run_trials(
                         (tracking_run == tracking_lead) & (hypotheses >= tracking_champion))
                     ).all(axis=0)
                     clear = tracking_lead - tracking_run >= beta[:, g:]
-                    act = rows.active.reshape(-1, k)[row_k[g:] + tracking_champion].T[:, None]
+                    act = active.take(at_champion[g:], axis=0).T[:, None]
                     if g < s:
                         ends[:, g:s] |= (clear[:, :, :s - g] | ~act[:, :, :s - g]).all(axis=0)
                     if s < n:
@@ -611,9 +665,8 @@ def run_trials(
             if s < n:
                 # Only the champion's set shrinks, and a trial stops the step
                 # its set empties, so only a row that eliminated can stop.
-                active = rows.active.reshape(-1, k)
                 at = at_champion[s:]
-                act = active[at]
+                act = active.take(at, axis=0)
                 removed = act & (lead[s:, None] - loglik[s:] >= beta[s:, None])
                 if np.count_nonzero(removed):
                     fired = removed.any(axis=1).nonzero()[0]
@@ -623,7 +676,10 @@ def run_trials(
                     if stopped is None:
                         stopped = np.zeros(n, dtype=bool)
                     stopped[fired] = ~left.any(axis=1)
-                    rows.tracked[fired[fired >= f]] = -1
+                    # A FullElim row that goes on tracks its champion's new
+                    # set, and finds it again if that champion returns.
+                    for j in ((fired >= f) & ~stopped[fired]).nonzero()[0].tolist():
+                        set_ids[at_champion[fired[j]]] = table.add(int(champion[fired[j]]), left[j])
 
             if trace is not None:
                 _record_round(trace, env, first, cache, t, rows,

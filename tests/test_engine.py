@@ -47,10 +47,16 @@ class TestPolicyConfig:
         {"kind": "TaS", "delta": 0.1, "c": math.nan},
         {"kind": "TaS", "delta": 0.1, "c": math.inf},
         {"kind": "TaS", "delta": 0.1, "c": -math.inf},
+        {"kind": "Greedy", "delta": 0.1, "max_steps": 10.5},
+        {"kind": "TaS", "delta": 0.1, "max_steps": "20"},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PolicyConfig(**kwargs)
+
+    def test_max_steps_stored_as_int(self):
+        cfg = PolicyConfig(kind="TaS", delta=0.1, max_steps=np.int64(20))
+        assert type(cfg.max_steps) is int and cfg.max_steps == 20
 
     def test_default_offset_resolution(self, skewed):
         cfg = resolve_config(PolicyConfig(kind="TaS", delta=0.1), skewed)
@@ -376,6 +382,18 @@ def _outcomes(results):
     return [(r.tau, r.recommendation, r.timed_out) for r in results]
 
 
+class _KeyCache(OracleCache):
+    """OracleCache that records every (candidate, opponent set) asked for."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.keys = set()
+
+    def target(self, h, S):
+        self.keys.add((h, frozenset(S)))
+        return super().target(h, S)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("kind", ["Greedy", "TaS", "StopElim", "FullElim", "mixed"])
     @pytest.mark.parametrize("name", ["skewed", "hard-weak", "degenerate"])
@@ -440,6 +458,41 @@ class TestLockstep:
                     split[j] = r
             alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
             assert whole == split == alone
+
+    def test_returning_champion_tracks_its_reduced_set(self, skewed, caches):
+        # In this FullElim trial champion h eliminates, the champion moves
+        # to another hypothesis and then returns to h, whose set id still
+        # names the reduced set.  Tracking h's full set on return instead
+        # changes the trial's stopping time.
+        cfg = PolicyConfig(kind="FullElim", delta=0.1, alpha=0.5, max_steps=5000)
+        trace = run_trial(skewed, 0, cfg, BASE_SEED, record_diagnostics=True).diagnostics
+        champion = trace.champion
+        fired = next(i for i, removed in enumerate(trace.events) if removed)
+        h = champion[fired]
+        away = next(j for j in range(fired + 1, len(champion)) if champion[j] != h)
+        back = next(j for j in range(away + 1, len(champion)) if champion[j] == h)
+        full = set(range(skewed.num_hypotheses)) - {h}
+        assert set(trace.active_set[back]) <= set(trace.active_set[away - 1]) < full
+        seeds = list(range(BASE_SEED, BASE_SEED + 8))
+        got = run_trials(skewed, 0, [cfg] * len(seeds), seeds, cache=caches["skewed"])
+        assert got[0].tau == trace.meta["tau"]
+        assert _outcomes(got) == [replay(skewed, 0, cfg, s, caches["skewed"]) for s in seeds]
+
+    def test_solves_exactly_the_sets_running_trials_track(self):
+        # A batch solves a set the first time a running trial tracks it and
+        # no other, so its cache is asked for the sets the replays track.
+        # The champions of a few trials visit few of the 24 candidates, so
+        # solving every full set up front adds sets here.
+        rng = np.random.default_rng(BASE_SEED)
+        env = load_environment({"name": "k24", "means": rng.uniform(0, 1, (24, 24)).tolist(),
+                                "sigma": 1.0})
+        for rows in (1, 4, 16):
+            cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED, BASE_SEED + rows), 3000)
+            batch, replayed = _KeyCache(env), _KeyCache(env)
+            run_trials(env, 3, cfgs, seeds, cache=batch)
+            for cfg, seed in zip(cfgs, seeds):
+                replay(env, 3, cfg, seed, replayed)
+            assert batch.keys == replayed.keys
 
     def test_results_are_python_values(self, skewed):
         r = run_trials(skewed, 0, [PolicyConfig(kind="TaS", delta=0.1)], [3])[0]

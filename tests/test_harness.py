@@ -1,6 +1,10 @@
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,13 @@ from activeht import (
     SummaryRow,
     TrialResult,
     aggregate,
+    load_environment,
     run_sweep,
     run_trial,
     summary_to_csv,
     trial_seed,
 )
-from activeht import harness
+from activeht import harness, oracle
 from activeht.harness import CSV_HEADER, read_summary_csv, write_summary_csv
 
 from conftest import BASE_SEED
@@ -110,10 +115,18 @@ class TestConfigValidation:
         {"policies": ("TaS", "TaS")},
         {"deltas": (0.1, 0.1)},
         {"alphas": (0.5, 0.5)},
+        {"trials": 2.5},
+        {"workers": 1.5},
+        {"max_steps": 10.5},
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(environment="skewed", **kwargs)
+
+    def test_counts_stored_as_ints(self):
+        ecfg = ExperimentConfig(environment="skewed", trials=np.int64(3), workers=np.int32(2))
+        assert type(ecfg.trials) is int and ecfg.trials == 3
+        assert type(ecfg.workers) is int and ecfg.workers == 2
 
 
 class TestSweeps:
@@ -231,6 +244,40 @@ class TestSweeps:
             trials=8, base_seed=BASE_SEED, workers=workers)) for workers in (1, 2)]
         assert used == ["spawn"]
         assert rows[0] == rows[1]
+
+
+class TestSerialSweep:
+    def test_oracle_solves_only_the_sets_running_trials_track(self, monkeypatch):
+        # exp1-sized serial sweeps: solving a set that no running trial
+        # tracks (every candidate's full set up front, or a finished trial's
+        # set) raises these counts.
+        solves = []
+        solve = oracle.oracle_allocation
+        monkeypatch.setattr(oracle, "oracle_allocation",
+                            lambda env, h, S: solves.append((h, S)) or solve(env, h, S))
+        run_sweep(ExperimentConfig(environment="skewed", trials=20))
+        assert len(solves) == 32
+        solves.clear()
+        means = np.random.default_rng(0).uniform(0.0, 1.0, (24, 24))
+        k24 = load_environment({"name": "k24", "means": means.tolist(), "sigma": 1.0})
+        run_sweep(ExperimentConfig(environment=k24, trials=2, max_steps=20_000))
+        assert len(solves) == 201
+
+    def test_serial_sweep_leaves_multiprocessing_unloaded(self):
+        # Only a pool imports multiprocessing; checked in a fresh interpreter,
+        # since this one has imported it.
+        code = ("import sys\n"
+                "import activeht.cli\n"
+                "from activeht import ExperimentConfig, run_sweep\n"
+                "run_sweep(ExperimentConfig(environment='skewed', policies=('FullElim',),\n"
+                "                           deltas=(0.1,), trials=2))\n"
+                "sys.exit('multiprocessing' in sys.modules)\n")
+        src = str(Path(activeht.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture
