@@ -11,11 +11,8 @@ from .model import (
     MalformedDocumentError,
     ModelError,
     PRESET_NAMES,
-    kl,
     load_environment,
-    log_density,
     preset_environment,
-    sample_observation,
 )
 from .oracle import (
     Allocation,
@@ -35,7 +32,6 @@ from .engine import (
     ctrack_select,
     eliminate,
     greedy_select,
-    llr,
     new_trial_state,
     run_trial,
     run_trials,
@@ -76,10 +72,7 @@ __all__ = [
     "ctrack_select",
     "eliminate",
     "greedy_select",
-    "kl",
-    "llr",
     "load_environment",
-    "log_density",
     "new_trial_state",
     "oracle_allocation",
     "preset_environment",
@@ -87,7 +80,6 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "run_trials",
-    "sample_observation",
     "summary_to_csv",
     "thresholds",
     "trial_seed",

@@ -39,10 +39,6 @@ EXIT_VALIDATION = 3
 CLI_MAX_STEPS = 20_000
 
 
-class UsageError(Exception):
-    pass
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
@@ -212,14 +208,13 @@ def _cmd_diagnose(args) -> int:
 
 
 def emit_plot_data(trace, out_dir) -> list[Path]:
-    """Write the four plot-ready panel files for a recorded trace.
+    """Write the four plot-ready panel files for a recorded trace, which
+    holds at least one round.
 
     active_set.csv has one row per elimination event; allocation.csv,
     evidence.csv and rates.csv have one row per round (rates.csv skips the
     final round, where the surviving-opponent set is empty).
     """
-    if not trace.t:
-        raise UsageError("trace is empty; nothing to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -235,8 +230,7 @@ def emit_plot_data(trace, out_dir) -> list[Path]:
             )
     paths.append(_write_lines(out / "active_set.csv", lines))
 
-    width = len(trace.alloc[0]) if trace.alloc else 0
-    lines = ["t," + ",".join(f"w{a}" for a in range(width))]
+    lines = ["t," + ",".join(f"w{a}" for a in range(len(trace.alloc[0])))]
     for step, alloc in zip(trace.t, trace.alloc):
         lines.append(f"{step}," + ",".join(f"{w:.6f}" for w in alloc))
     paths.append(_write_lines(out / "allocation.csv", lines))
@@ -277,9 +271,6 @@ def dispatch(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # ModelError and OracleError subclass ValueError.
     except (ValueError, IndexError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

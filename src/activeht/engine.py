@@ -71,7 +71,9 @@ per-step cost of a scalar loop, so runs of many trials should go through
 ``run_trials``.
 ``new_trial_state``, ``update_likelihoods``, ``ctrack_select``,
 ``greedy_select``, ``eliminate`` and ``thresholds`` are the single-trial
-reference of the same rules.
+reference of the same rules.  They stay in the package because the
+benchmark's traced run (``perfbench/layers.py``) and the tests replay trials
+through them and check the replays against ``run_trials``.
 """
 
 from __future__ import annotations
@@ -214,13 +216,6 @@ def update_likelihoods(state: TrialState, env: Environment, a: int, o: float) ->
     return state
 
 
-def llr(state: TrialState, h: int, g: int) -> float:
-    """Cumulative evidence for h over g: difference of log-likelihoods."""
-    if h == g:
-        raise ValueError("log-likelihood ratio requires two distinct hypotheses")
-    return state.loglik[h] - state.loglik[g]
-
-
 def _floor_projection(w, eps: float):
     """Smallest uniform mixing of ``w`` that puts at least eps on every action."""
     wmin = min(w)
@@ -231,7 +226,7 @@ def _floor_projection(w, eps: float):
     return [(wi + eta) / denom for wi in w]
 
 
-def ctrack_select(state: TrialState, target_now) -> int:
+def ctrack_select(state: TrialState, weights) -> int:
     """Accumulate the tracking target, then pull the most under-sampled action.
 
     The instantaneous target is floored at eps_t = 1 / (2 sqrt(t + A^2))
@@ -239,7 +234,6 @@ def ctrack_select(state: TrialState, target_now) -> int:
     sqrt(t) rate no matter how lopsided the oracle allocations are.  Ties in
     the deficit go to the lowest action index.
     """
-    weights = target_now.weights if hasattr(target_now, "weights") else target_now
     num_actions = len(state.target)
     eps = 0.5 / sqrt(num_actions * num_actions + state.t)
     floored = _floor_projection(weights, eps)
@@ -439,7 +433,11 @@ def run_trials(
         raise IndexError(f"true hypothesis {true_h} out of range")
     if env.num_hypotheses < 2:
         raise ValueError("identification needs at least two hypotheses")
-    cfgs = [resolve_config(cfg, env) for cfg in cfgs]
+    # A sweep's batch repeats each cell's config once per trial, so each
+    # distinct config is resolved once, in the one pass ``cfgs`` may allow.
+    resolved = {}
+    cfgs = [resolved.get(cfg) or resolved.setdefault(cfg, resolve_config(cfg, env))
+            for cfg in cfgs]
     if len(cfgs) != len(seeds):
         raise ValueError(f"{len(cfgs)} configs for {len(seeds)} seeds")
     if not cfgs:

@@ -238,8 +238,8 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-# perfbench/layers.py imports this name; ROADMAP item 2 drops it when that
-# script is re-aimed at run_sweep.
+# perfbench/layers.py imports this name; ROADMAP item 4 step 1 drops it when
+# that script is re-aimed at run_trials and run_sweep.
 run_delta_sweep = run_sweep
 
 

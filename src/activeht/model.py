@@ -1,4 +1,4 @@
-"""Gaussian sensing environments: hypotheses, actions, densities, divergences.
+"""Gaussian sensing environments: hypotheses, actions and divergences.
 
 An environment is a finite set of hypotheses, a finite set of sensing
 actions, and a mean matrix (actions as rows, hypotheses as columns).
@@ -91,7 +91,9 @@ class Environment:
     @cached_property
     def kl_table(self) -> np.ndarray:
         """Read-only divergence tensor: ``[a, h, g]`` holds d_a(h, g) in nats
-        per draw.  Built once per environment."""
+        per draw, the equal-variance Gaussian closed form
+        ``(means[a][h] - means[a][g])**2 / (2 sigma**2)``.  Built once per
+        environment."""
         mu = self.means_array
         with np.errstate(over="ignore"):
             gaps = mu[:, :, None] - mu[:, None, :]
@@ -128,54 +130,6 @@ class Environment:
         maxd = self.max_divergence
         k = self.num_hypotheses
         return [(h, g) for h in range(k) for g in range(h + 1, k) if maxd[h][g] == 0.0]
-
-
-def kl(env: Environment, a: int, h: int, g: int) -> float:
-    """Per-observation information of action ``a`` for telling h from g.
-
-    Equal-variance Gaussian closed form: squared mean gap over 2*sigma^2.
-    """
-    _check_action(env, a)
-    _check_hypothesis(env, h)
-    _check_hypothesis(env, g)
-    gap = env.means[a][h] - env.means[a][g]
-    return gap * gap / (2.0 * env.sigma**2)
-
-
-def log_density(env: Environment, a: int, h: int, o: float) -> float:
-    """Observation log-density up to a hypothesis-independent constant.
-
-    Returns -(o - mu)^2 / (2 sigma^2).  The additive -log(sigma*sqrt(2*pi))
-    term is dropped: every consumer takes differences across hypotheses, so
-    constants cancel exactly.
-    """
-    _check_action(env, a)
-    _check_hypothesis(env, h)
-    if not np.isfinite(o):
-        raise ValueError(f"non-finite observation: {o}")
-    gap = o - env.means[a][h]
-    return -gap * gap / (2.0 * env.sigma**2)
-
-
-def sample_observation(env: Environment, a: int, h: int, rng: np.random.Generator) -> float:
-    """One draw from the observation law of (a, h).
-
-    Consumes exactly one standard-normal variate from ``rng``; identical
-    generator state gives an identical draw.
-    """
-    _check_action(env, a)
-    _check_hypothesis(env, h)
-    return env.means[a][h] + env.sigma * rng.standard_normal()
-
-
-def _check_action(env: Environment, a: int) -> None:
-    if not 0 <= a < env.num_actions:
-        raise IndexError(f"action index {a} out of range [0, {env.num_actions})")
-
-
-def _check_hypothesis(env: Environment, h: int) -> None:
-    if not 0 <= h < env.num_hypotheses:
-        raise IndexError(f"hypothesis index {h} out of range [0, {env.num_hypotheses})")
 
 
 # Built-in benchmark environments.  Rows are actions, columns are hypotheses.

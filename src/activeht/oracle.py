@@ -290,7 +290,8 @@ class OracleCache:
         if hit is not None:
             return hit
         maxd = self.env.max_divergence
-        live = [g for g in S if maxd[h][g] > 0.0]
+        # h itself stays in live, so that oracle_allocation rejects it.
+        live = [g for g in S if g == h or maxd[h][g] > 0.0]
         if live or not S:  # oracle_allocation rejects an empty S
             sol = oracle_allocation(self.env, h, live)
             value = (sol.allocation.weights, sol.rate if len(live) == len(S) else 0.0)

@@ -11,9 +11,8 @@ from activeht.cli import (
     EXIT_VALIDATION,
     build_parser,
     dispatch,
-    emit_plot_data,
 )
-from activeht import DiagnosticsTrace, load_environment
+from activeht import load_environment
 
 from conftest import BASE_SEED
 
@@ -415,11 +414,3 @@ class TestDiagnose:
             "kind": "FullElim", "delta": 0.1, "alpha": 1.0, "b": 0.8, "c": None,
             "max_steps": 20000,
         }
-
-    def test_empty_trace_is_usage_error_and_writes_nothing(self, tmp_path):
-        from activeht.cli import UsageError
-
-        empty = DiagnosticsTrace()
-        with pytest.raises(UsageError):
-            emit_plot_data(empty, tmp_path / "plots")
-        assert not (tmp_path / "plots").exists()

@@ -13,12 +13,10 @@ from activeht import (
     ctrack_select,
     eliminate,
     greedy_select,
-    llr,
     load_environment,
     new_trial_state,
     run_trial,
     run_trials,
-    sample_observation,
     thresholds,
     update_likelihoods,
 )
@@ -113,33 +111,40 @@ class TestUpdateLikelihoods:
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = int(rng.integers(5))
-            update_likelihoods(state, degenerate, a, sample_observation(degenerate, a, 0, rng))
+            o = degenerate.means[a][0] + degenerate.sigma * rng.standard_normal()
+            update_likelihoods(state, degenerate, a, o)
         assert state.loglik[3] == state.loglik[4]
 
-
-class TestLlr:
-    def test_antisymmetry_and_zero_start(self, skewed):
-        state = new_trial_state(skewed)
-        assert llr(state, 0, 3) == 0.0
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            update_likelihoods(state, skewed, 1, sample_observation(skewed, 1, 0, rng))
-        for h in range(5):
-            for g in range(5):
-                if h != g:
-                    assert llr(state, h, g) == -llr(state, g, h)
-                    assert llr(state, h, g) == state.loglik[h] - state.loglik[g]
-
-    def test_single_observation_value(self, skewed):
+    def test_single_observation_ratio(self, skewed):
         # o = 0.5 under action 0: hypothesis 0 has mean 0.5, hypothesis 1
         # has 0.9, so the ratio is 0.4^2 / 2.
         state = new_trial_state(skewed)
         update_likelihoods(state, skewed, 0, 0.5)
-        assert llr(state, 0, 1) == pytest.approx(0.08, abs=1e-12)
+        assert state.loglik[0] - state.loglik[1] == pytest.approx(0.08, abs=1e-12)
 
-    def test_same_hypothesis_rejected(self, skewed):
-        with pytest.raises(ValueError):
-            llr(new_trial_state(skewed), 2, 2)
+    def test_increments_drop_the_gaussian_constant(self, skewed):
+        # One observation one sigma from hypothesis 2's mean under sigma = 1.
+        state = new_trial_state(skewed)
+        update_likelihoods(state, skewed, 1, skewed.means[1][2] + 1.0)
+        assert state.loglik[2] == pytest.approx(-0.5, abs=1e-15)
+
+    def test_differences_match_full_gaussian_log_density(self, skewed):
+        def full_logpdf(env, a, h, o):
+            var = env.sigma**2
+            return -0.5 * (o - env.means[a][h]) ** 2 / var - math.log(env.sigma * math.sqrt(2 * math.pi))
+
+        rng = np.random.default_rng(7)
+        env = load_environment({"name": "s", "means": [list(r) for r in skewed.means],
+                                "sigma": 1.7})
+        for _ in range(200):
+            a = int(rng.integers(env.num_actions))
+            h, g = (int(x) for x in rng.choice(env.num_hypotheses, size=2, replace=False))
+            o = float(rng.normal(0, 3))
+            state = new_trial_state(env)
+            update_likelihoods(state, env, a, o)
+            ours = state.loglik[h] - state.loglik[g]
+            exact = full_logpdf(env, a, h, o) - full_logpdf(env, a, g, o)
+            assert ours == pytest.approx(exact, abs=1e-12)
 
 
 class TestCtrackSelect:
@@ -210,7 +215,7 @@ class TestEliminate:
         cfg = PolicyConfig(kind="FullElim", delta=0.1, alpha=1.0, b=2.0, c=math.log(4))
         beta_stop, beta_elim = thresholds(100, cfg)
         assert beta_stop == beta_elim
-        assert min(llr(state, 0, g) for g in (1, 2, 3, 4)) >= beta_stop
+        assert min(state.loglik[0] - state.loglik[g] for g in (1, 2, 3, 4)) >= beta_stop
         removed = eliminate(state, cfg)
         assert removed == {1, 2, 3, 4}
         assert state.active[0] == set()
@@ -254,7 +259,7 @@ def replay(env, true_h, cfg, seed, cache, rounds=None):
             subset = state.active[ch] if cfg.kind == "FullElim" else full[ch]
             w, _ = cache.target(ch, subset)
             a = ctrack_select(state, w)
-        update_likelihoods(state, env, a, sample_observation(env, a, true_h, rng))
+        update_likelihoods(state, env, a, env.means[a][true_h] + env.sigma * rng.standard_normal())
         ch = state.champion
         if rounds is not None:
             rounds.append((state.t, ch, list(state.counts), [w / state.t for w in state.target]))
@@ -263,7 +268,7 @@ def replay(env, true_h, cfg, seed, cache, rounds=None):
             stopped = not state.active[ch]
         else:
             beta_stop, _ = thresholds(state.t, cfg)
-            stopped = min(llr(state, ch, g) for g in full[ch]) >= beta_stop
+            stopped = min(state.loglik[ch] - state.loglik[g] for g in full[ch]) >= beta_stop
         if stopped or state.t >= cfg.max_steps:
             return state.t, ch, not stopped
 
@@ -499,6 +504,21 @@ class TestLockstep:
         assert type(r.tau) is int
         assert type(r.recommendation) is int
         assert type(r.correct) is bool and type(r.timed_out) is bool
+
+    def test_resolves_each_distinct_config_once(self, skewed, monkeypatch):
+        # A sweep's batch repeats each cell's config once per trial.  Configs
+        # may come from a generator, read in one pass.
+        cfgs, seeds = _mixed_batch("mixed", range(BASE_SEED, BASE_SEED + 48), 300)
+        listed = run_trials(skewed, 0, cfgs, seeds)
+        calls = []
+
+        def counting(cfg, env):
+            calls.append(cfg)
+            return resolve_config(cfg, env)
+
+        monkeypatch.setattr("activeht.engine.resolve_config", counting)
+        assert run_trials(skewed, 0, (cfg for cfg in cfgs), seeds) == listed
+        assert len(calls) == len(set(calls)) == len(set(cfgs)) < len(cfgs)
 
     def test_bad_batches_rejected(self, skewed):
         tas = PolicyConfig(kind="TaS", delta=0.1)

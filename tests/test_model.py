@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -8,11 +7,8 @@ from activeht import (
     Environment,
     IdentifiabilityError,
     MalformedDocumentError,
-    kl,
     load_environment,
-    log_density,
     preset_environment,
-    sample_observation,
 )
 
 
@@ -127,18 +123,22 @@ def test_unknown_preset_lists_choices():
         preset_environment("typo")
 
 
+def closed_form_kl(env, a, h, g):
+    """d_a(h, g) for equal-variance Gaussians: squared mean gap over 2 sigma^2."""
+    gap = env.means[a][h] - env.means[a][g]
+    return gap * gap / (2.0 * env.sigma**2)
+
+
 def test_kl_closed_form(skewed):
-    assert kl(skewed, 0, 0, 1) == pytest.approx(0.08, abs=1e-15)
-    assert kl(skewed, 2, 0, 0) == 0.0
+    assert skewed.kl_table[0, 0, 1] == pytest.approx(0.08, abs=1e-15)
+    assert skewed.kl_table[2, 0, 0] == 0.0
     # sigma scales the divergence by 1/sigma^2
     half = Environment(name="s", means=skewed.means, sigma=2.0)
-    assert kl(half, 0, 0, 1) == pytest.approx(0.02, abs=1e-15)
+    assert half.kl_table[0, 0, 1] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_kl_degenerate_row_is_zero(degenerate):
-    for h in range(5):
-        for g in range(5):
-            assert kl(degenerate, 2, h, g) == 0.0
+    assert np.array_equal(degenerate.kl_table[2], np.zeros((5, 5)))
 
 
 def test_kl_table_invariants(skewed, hard_weak, degenerate):
@@ -158,53 +158,7 @@ def test_kl_table_invariants(skewed, hard_weak, degenerate):
         for a in range(env.num_actions):
             for h in range(env.num_hypotheses):
                 for g in range(env.num_hypotheses):
-                    assert table[a, h, g] == kl(env, a, h, g)
-
-
-def test_log_density_drops_constant(skewed):
-    mu = skewed.means[1][2]
-    assert log_density(skewed, 1, 2, mu) == 0.0
-    assert log_density(skewed, 1, 2, mu + 1.0) == pytest.approx(-0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        log_density(skewed, 1, 2, float("nan"))
-    with pytest.raises(IndexError):
-        log_density(skewed, 9, 2, 0.0)
-
-
-def test_log_density_differences_match_full_gaussian_llr(skewed):
-    def full_logpdf(env, a, h, o):
-        var = env.sigma**2
-        return -0.5 * (o - env.means[a][h]) ** 2 / var - math.log(env.sigma * math.sqrt(2 * math.pi))
-
-    rng = np.random.default_rng(7)
-    env = Environment(name="s", means=skewed.means, sigma=1.7)
-    for _ in range(200):
-        a = int(rng.integers(env.num_actions))
-        h, g = rng.choice(env.num_hypotheses, size=2, replace=False)
-        o = float(rng.normal(0, 3))
-        ours = log_density(env, a, int(h), o) - log_density(env, a, int(g), o)
-        exact = full_logpdf(env, a, int(h), o) - full_logpdf(env, a, int(g), o)
-        assert ours == pytest.approx(exact, abs=1e-12)
-
-
-def test_sampling_is_deterministic_and_consumes_one_draw(skewed):
-    o1 = sample_observation(skewed, 2, 4, np.random.default_rng(99))
-    o2 = sample_observation(skewed, 2, 4, np.random.default_rng(99))
-    assert o1 == o2
-    rng_a = np.random.default_rng(123)
-    rng_b = np.random.default_rng(123)
-    draw = sample_observation(skewed, 0, 1, rng_a)
-    z = rng_b.standard_normal()
-    assert draw == skewed.means[0][1] + skewed.sigma * z
-    # the generator advanced by exactly one unit: next draws agree
-    assert rng_a.standard_normal() == rng_b.standard_normal()
-
-
-def test_sampling_moments(skewed):
-    rng = np.random.default_rng(2024)
-    draws = np.array([sample_observation(skewed, 0, 0, rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 0.5) < 0.02
-    assert abs(draws.var() - 1.0) < 0.03
+                    assert table[a, h, g] == closed_form_kl(env, a, h, g)
 
 
 def test_environment_is_immutable(skewed):

@@ -330,3 +330,19 @@ class TestOracleCache:
         w, rate = cache.target(3, {4})
         assert rate == 0.0
         assert w == tuple([1 / 5] * 5)
+
+    @pytest.mark.parametrize("name, h, S", [
+        ("skewed", 0, [0, 1]),
+        ("skewed", 2, [2]),
+        # the candidate next to a collapsed opponent, and alone with it
+        ("degenerate", 3, [3, 4]),
+        ("degenerate", 3, [0, 3, 4]),
+    ])
+    def test_candidate_in_its_own_set_raises_and_is_not_cached(self, request, name, h, S):
+        # d(h, h) = 0, so h once passed for a collapsed opponent and the
+        # cache returned rate 0.
+        env = request.getfixturevalue(name)
+        cache = OracleCache(env)
+        for _ in range(2):
+            with pytest.raises(OracleError, match="its own opponent"):
+                cache.target(h, S)
