@@ -5,6 +5,17 @@ elimination-augmented variants), the max-min allocation oracle they track,
 and a seeded Monte Carlo harness for benchmarking them.
 """
 
+import os
+
+# One BLAS thread per process, set before .model imports numpy.  On an
+# N-CPU host numpy's bundled OpenBLAS otherwise starts N - 1 worker threads
+# at import, and each busy-waits for up to 0.1 s of CPU before it sleeps.
+# The lab never uses them: its largest BLAS operands (the simplex tableau and
+# the dual solve) are far below OpenBLAS's threading thresholds.  Pool
+# workers inherit the setting.  A value exported by the user is kept, and
+# numpy imported before this package keeps its own setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .model import (
     Environment,
     IdentifiabilityError,

@@ -208,6 +208,7 @@ def _bland_iterate(aug, basis, price):
     improving entry; ``pivot`` is the last (row, column) pivoted on, or None
     before the first."""
     rhs = aug[:, -1]
+    buf = np.empty_like(aug)
     pivot = None
     for _ in range(10_000):
         reduced = price(pivot)
@@ -215,33 +216,37 @@ def _bland_iterate(aug, basis, price):
         if not improving.size:
             return
         entering = int(improving[0])
-        col = aug[:, entering]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if not rows.size:
-            raise OracleError("max-min program reported unbounded (solver bug)")
         # Bland's tie rule runs in row order with a drifting best_ratio, so
-        # an argmin over the ratios could pick a different leaving row.
+        # an argmin over the ratios could pick a different leaving row.  The
+        # ratio test reads plain floats: a tableau has a few dozen rows, and
+        # Python's division rounds exactly as numpy's does.
         leaving = -1
         best_ratio = np.inf
-        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+        for i, (c, r) in enumerate(zip(aug[:, entering].tolist(), rhs.tolist())):
+            if not c > PIVOT_TOL:
+                continue
+            ratio = r / c
             if leaving < 0 or ratio < best_ratio - PIVOT_TOL:
                 best_ratio = ratio
                 leaving = i
             elif abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving]:
                 best_ratio = min(best_ratio, ratio)
                 leaving = i
-        _pivot(aug, basis, leaving, entering)
+        if leaving < 0:
+            raise OracleError("max-min program reported unbounded (solver bug)")
+        _pivot(aug, basis, leaving, entering, buf)
         pivot = leaving, entering
     raise OracleError("simplex failed to converge")
 
 
-def _pivot(aug, basis, row, col):
+def _pivot(aug, basis, row, col, buf=None):
     """Gauss-Jordan pivot on (row, col) of the augmented tableau as one
-    rank-1 update."""
+    rank-1 update, its product written into ``buf`` when given (an array
+    shaped like ``aug``) rather than a fresh one."""
     aug[row] /= aug[row, col]
     factor = aug[:, col].copy()
     factor[row] = 0.0
-    aug -= factor[:, None] * aug[row]
+    aug -= np.multiply(factor[:, None], aug[row], out=buf)
     basis[row] = col
 
 
@@ -289,12 +294,14 @@ class OracleCache:
         hit = self._solutions.get(key)
         if hit is not None:
             return hit
+        # A miss checks its indices as oracle_allocation does, so a rejected
+        # key is never cached and a hit costs no check.
+        opponents = _check_opponents(self.env, h, S)
         maxd = self.env.max_divergence
-        # h itself stays in live, so that oracle_allocation rejects it.
-        live = [g for g in S if g == h or maxd[h][g] > 0.0]
-        if live or not S:  # oracle_allocation rejects an empty S
+        live = [g for g in opponents if maxd[h][g] > 0.0]
+        if live:
             sol = oracle_allocation(self.env, h, live)
-            value = (sol.allocation.weights, sol.rate if len(live) == len(S) else 0.0)
+            value = (sol.allocation.weights, sol.rate if len(live) == len(opponents) else 0.0)
         else:
             n = self.env.num_actions
             value = (tuple(1.0 / n for _ in range(n)), 0.0)

@@ -291,3 +291,38 @@ def test_criterion_9_worker_determinism(tmp_path):
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(9, ok, "delta-sweep CSV byte-identical across 1, 8, and 1 workers")
     assert ok
+
+
+def clopper_pearson_upper(failures, trials, confidence=0.95):
+    """Upper end of the two-sided Clopper-Pearson interval for a binomial
+    rate: the p at which P(X <= failures) falls to (1 - confidence) / 2."""
+    if failures >= trials:
+        return 1.0
+    tail = (1.0 - confidence) / 2.0
+
+    def cdf(p):
+        log_p, log_q = math.log(p), math.log1p(-p)
+        return sum(math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
+                            - math.lgamma(trials - k + 1) + k * log_p + (trials - k) * log_q)
+                   for k in range(failures + 1))
+
+    lo, hi = failures / trials, 1.0 - 1e-15
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if cdf(mid) > tail else (lo, mid)
+    return hi
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the default threshold offset "
+                   "c = log(K-1) - 1.7863 breaks delta-PAC at K = 2")
+def test_default_threshold_is_delta_pac_at_k2():
+    env = load_environment({"name": "k2-breach", "sigma": 0.163,
+                            "means": [[0.3926, 0.2474], [0.4366, 0.4197]]})
+    delta, trials = 0.1, 4000
+    cfg = PolicyConfig(kind="TaS", delta=delta, max_steps=20_000)
+    results = run_trials(env, 0, [cfg] * trials, range(20_000, 20_000 + trials))
+    failures = sum(1 for r in results if r.timed_out or not r.correct)
+    upper = clopper_pearson_upper(failures, trials)
+    print(f"[delta-PAC at K = 2] {failures} of {trials} failed, "
+          f"Clopper-Pearson upper bound {upper:.4f} against delta = {delta}")
+    assert upper <= delta

@@ -272,12 +272,40 @@ class TestSerialSweep:
                 "run_sweep(ExperimentConfig(environment='skewed', policies=('FullElim',),\n"
                 "                           deltas=(0.1,), trials=2))\n"
                 "sys.exit('multiprocessing' in sys.modules)\n")
-        src = str(Path(activeht.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
+        done = run_fresh_python(code)
         assert done.returncode == 0, done.stderr
+
+
+def run_fresh_python(code, **environ):
+    """Run ``code`` in a fresh interpreter that imports this activeht, with
+    ``environ`` over this process's environment (a None value unsets)."""
+    src = str(Path(activeht.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **environ}
+    env = {name: value for name, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    # This process imported numpy before activeht, so numpy kept its own
+    # setting here: each check runs in a fresh interpreter, which inherits
+    # this process's CPU affinity.
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_import_starts_no_blas_worker_thread(self):
+        done = run_fresh_python("import os, activeht\n"
+                                "print(len(os.listdir('/proc/self/task')))\n",
+                                OPENBLAS_NUM_THREADS=None)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
+    def test_exported_thread_count_is_kept(self):
+        done = run_fresh_python("import os, activeht\n"
+                                "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+                                OPENBLAS_NUM_THREADS="2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "2"
 
 
 @pytest.fixture

@@ -346,3 +346,16 @@ class TestOracleCache:
         for _ in range(2):
             with pytest.raises(OracleError, match="its own opponent"):
                 cache.target(h, S)
+
+    @pytest.mark.parametrize("h, error", [(-1, IndexError), (5, IndexError), (1.5, OracleError)])
+    def test_invalid_candidate_raises_like_the_oracle_and_is_not_cached(self, degenerate, h, error):
+        # degenerate has K = 5.  max_divergence[-1] is hypothesis 4's row,
+        # where 3 is collapsed, so -1 once got the uniform fallback and a
+        # cache entry.
+        with pytest.raises(error):
+            oracle_allocation(degenerate, h, [3])
+        cache = OracleCache(degenerate)
+        for _ in range(2):
+            with pytest.raises(error):
+                cache.target(h, [3])
+        assert cache.target(4, [3]) == (tuple([1 / 5] * 5), 0.0)
