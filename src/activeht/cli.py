@@ -9,6 +9,7 @@ reject as out of range, or a malformed environment document).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -281,7 +282,12 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    # The interpreter's closing collections would traverse every object left
+    # alive, numpy's included, only to find no garbage; frozen objects are
+    # skipped.  atexit handlers, stream flushes and module teardown still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

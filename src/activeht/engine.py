@@ -36,10 +36,14 @@ not depend on how trials are batched:
 * tracking targets are looked up by opponent-set id: every (candidate,
   opponent set) the batch tracks has an id, ids 0..K-1 being the full sets,
   and each row holds the ids of its candidates' sets, so a FullElim
-  elimination rewrites one id.  Each step gathers the tracking rows'
-  targets by id and forms the floored increment once per id in use; an id
-  is solved through the ``OracleCache`` the first time a running trial
-  tracks it.
+  elimination rewrites one id.  An id is solved through the ``OracleCache``
+  the first time a running trial tracks it.  A single step gathers the
+  tracking rows' floored increments by id from a window holding every id's
+  increments over the next W steps, formed in one pass with each step's
+  eps from ``math``.  The window is rebuilt once t leaves it or the batch
+  adds or solves a set, and holds at most ``_WINDOW_CELLS`` values (W = 25
+  with the 32 sets of a ``skewed`` sweep); where that leaves W = 1, each
+  step forms the increments of the ids in use.
 
 While no diagnostics are recorded and the batch holds at most
 ``_RUN_AHEAD_CELLS`` log-likelihoods (a small batch of any kinds, a large
@@ -107,6 +111,9 @@ _COMPACT_SHARE = 1 / 8
 # overhead it saves (see the module docstring).
 _QUIET_STEPS = 8
 _RUN_AHEAD_CELLS = 1024
+# A single step reads its tracking increments from a window of the next steps'
+# increments of every opponent set, of at most _WINDOW_CELLS values.
+_WINDOW_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -374,6 +381,8 @@ class _SetTable:
     Ids 0..K-1 are the full sets; ``add`` numbers a reduced set the first
     time a FullElim row is left with it.  ``weights[i]`` and ``floor[i]``
     (their minimum) stay zero until ``solve`` takes set i from the cache.
+    ``window`` holds the floored increments of every id over the steps from
+    ``window_start`` on; adding or solving a set drops it.
     """
 
     def __init__(self, cache: OracleCache, k: int, num_actions: int):
@@ -384,6 +393,8 @@ class _SetTable:
         self.weights = np.zeros((k, num_actions))
         self.floor = np.zeros(k)
         self.solved = np.zeros(k, dtype=bool)
+        self.window_start = 0
+        self.window = None
 
     def add(self, h: int, survivors) -> int:
         """The id of candidate h against the opponents flagged in ``survivors``."""
@@ -392,6 +403,7 @@ class _SetTable:
         if i is None:
             i = self.ids[key] = len(self.sets)
             self.sets.append((h, survivors.nonzero()[0].tolist()))
+            self.window = None
             if i == len(self.floor):
                 self.weights, self.floor, self.solved = (
                     np.concatenate((x, np.zeros_like(x)))
@@ -405,6 +417,33 @@ class _SetTable:
                 self.weights[i] = w
                 self.floor[i] = min(w)
                 self.solved[i] = True
+                self.window = None
+
+    def increments(self, t: int, ids):
+        """ctrack_select's floored increments at step t (eps_t), by id.
+
+        Row i is set i's increment for every i in ``ids``.  They come from
+        the window, rebuilt at t once t leaves it, unless the window's bound
+        leaves it a single step: then the increment is formed for each id in
+        ``ids`` alone.
+        """
+        j = t - self.window_start
+        if self.window is not None and j < len(self.window):
+            return self.window[j]
+        num_ids, num_actions = len(self.sets), self.weights.shape[1]
+        span = _WINDOW_CELLS // (num_ids * num_actions)
+        if span > 1:
+            self.window_start = t
+            self.window = _floored(self.weights[:num_ids], self.floor[:num_ids],
+                                   _eps(num_actions, t, span))
+            return self.window[0]
+        # The ids in use (bincount, since np.unique imports numpy.ma on its
+        # first call).
+        used = np.bincount(ids).nonzero()[0]
+        increment = np.empty_like(self.weights)
+        increment[used] = _floored(self.weights.take(used, axis=0), self.floor[used],
+                                   _eps(num_actions, t, 1))[0]
+        return increment
 
 
 def run_trials(
@@ -528,26 +567,15 @@ def run_trials(
         while not compact:
             block = run_ahead and quiet >= _QUIET_STEPS
             if g < n:
-                # The tracking rows' set ids and the ids in use (bincount,
-                # since np.unique imports numpy.ma on its first call).  Only
-                # a running row's set is solved, so a finished row never
-                # adds a solve.
+                # The tracking rows' set ids.  Only a running row's set is
+                # solved, so a finished row never adds a solve.
                 ids = set_ids[at_champion[g:]]
-                used = np.bincount(ids).nonzero()[0]
-                if not table.solved[used].all():
+                if not table.solved[ids].all():
                     table.solve(set(ids[rows.live[g:]].tolist()))
                 if not block:
                     # ctrack_select on every tracking row, its floored
-                    # increment formed once per id in use; eta = 0 leaves a
-                    # set's weights as they are, as _floor_projection does
-                    # when min(w) >= eps.
-                    eps = 0.5 / sqrt(num_actions * num_actions + t)
-                    eta = (np.maximum(eps - table.floor[used], 0.0)
-                           / (1.0 - num_actions * eps))[:, None]
-                    increment = np.empty_like(table.weights)
-                    increment[used] = ((table.weights.take(used, axis=0) + eta)
-                                       / (1.0 + num_actions * eta))
-                    target += increment.take(ids, axis=0)
+                    # increment read by id.
+                    target += table.increments(t, ids).take(ids, axis=0)
                     a = (target - tracking_counts).argmax(axis=1)
 
             i = t % _RNG_BLOCK
@@ -732,22 +760,36 @@ def run_trials(
     return results
 
 
+def _eps(num_actions: int, t: int, span: int):
+    """ctrack_select's eps_t at steps t to t + span - 1, formed with ``math``."""
+    return np.array([0.5 / sqrt(num_actions * num_actions + u) for u in range(t, t + span)])
+
+
+def _floored(weights, wmin, eps, out=None):
+    """ctrack_select's floored increments of ``weights`` (rows, A), whose
+    minima are ``wmin``, at each step's eps: shape (span, rows, A).
+
+    The operations are _floor_projection's: eta = 0 leaves a row's weights
+    as they are, as _floor_projection does when min(w) >= eps.
+    """
+    num_actions = weights.shape[-1]
+    eta = (np.maximum(eps[:, None] - wmin, 0.0) / (1.0 - num_actions * eps)[:, None])[..., None]
+    return np.divide(weights + eta, 1.0 + num_actions * eta, out=out)
+
+
 def _track_ahead(target, counts, weights, wmin, t, span):
     """The actions and cumulative targets of tracking rows over the next
     ``span`` steps, t + 1 to t + span, while their weights hold.
 
-    The steps' floored increments are formed at once, in ctrack_select's
-    operation order with each step's eps from ``math``, and summed onto
-    ``target`` along the step axis; the actions are picked one step at a
-    time, each advancing the counts.  Returns ``(actions, targets)`` of
-    shapes (span, rows) and (span, rows, A).
+    The steps' floored increments are formed at once (``_floored``) and
+    summed onto ``target`` along the step axis; the actions are picked one
+    step at a time, each advancing the counts.  Returns ``(actions,
+    targets)`` of shapes (span, rows) and (span, rows, A).
     """
     num_rows, num_actions = target.shape
     targets = np.empty((span + 1, num_rows, num_actions))
     targets[0] = target
-    eps = np.array([0.5 / sqrt(num_actions * num_actions + u) for u in range(t, t + span)])
-    eta = (np.maximum(eps[:, None] - wmin, 0.0) / (1.0 - num_actions * eps)[:, None])[..., None]
-    np.divide(weights + eta, 1.0 + num_actions * eta, out=targets[1:])
+    _floored(weights, wmin, _eps(num_actions, t, span), out=targets[1:])
     np.add.accumulate(targets, axis=0, out=targets)
     targets = targets[1:]
     actions = np.empty((span, num_rows), dtype=np.intp)

@@ -96,7 +96,7 @@ class SummaryRow:
     ``mean_tau``/``stderr_tau`` cover completed (non-timed-out) trials only
     and are NaN when every trial timed out; ``error_rate`` is the wrong-
     recommendation fraction among completed trials and ``wrong`` their
-    count.  Capped-inclusive views are available as methods.
+    count.
     """
 
     environment: str
@@ -113,16 +113,6 @@ class SummaryRow:
     @property
     def completed(self) -> int:
         return self.trials - self.timeouts
-
-    def failure_rate(self) -> float:
-        """Fraction of trials that were wrong or never stopped."""
-        return (self.wrong + self.timeouts) / self.trials
-
-    def capped_mean_tau(self, max_steps: int) -> float:
-        """Mean stopping time with timed-out trials entering at the cap."""
-        if self.completed == 0:
-            return float(max_steps)
-        return (self.mean_tau * self.completed + self.timeouts * max_steps) / self.trials
 
 
 def trial_seed(base_seed: int, policy: str, delta: float, alpha: float, index: int) -> int:
@@ -256,22 +246,3 @@ def summary_to_csv(rows) -> str:
 
 def write_summary_csv(rows, path) -> None:
     Path(path).write_text(summary_to_csv(rows))
-
-
-def read_summary_csv(path) -> list[SummaryRow]:
-    """Rows of a summary CSV.  ``wrong`` is recovered from the 6-decimal
-    ``error_rate``, which pins it while fewer than 10^6 trials completed."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0] != CSV_HEADER:
-        raise ValueError(f"{path} does not carry the expected summary header")
-    rows = []
-    for line in text[1:]:
-        env, policy, delta, alpha, mean, stderr, err, timeouts, trials = line.split(",")
-        completed = int(trials) - int(timeouts)
-        rows.append(SummaryRow(
-            environment=env, policy=policy, delta=float(delta), alpha=float(alpha),
-            mean_tau=float(mean), stderr_tau=float(stderr), error_rate=float(err),
-            timeouts=int(timeouts), trials=int(trials),
-            wrong=round(float(err) * completed) if completed else 0,
-        ))
-    return rows

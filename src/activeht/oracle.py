@@ -287,15 +287,21 @@ class OracleCache:
         self._solutions: dict[tuple[int, int], tuple[tuple[float, ...], float]] = {}
 
     def target(self, h: int, S) -> tuple[tuple[float, ...], float]:
-        mask = 0
-        for g in S:
-            mask |= 1 << int(g)
-        key = (h, mask)
+        try:
+            mask = 0
+            for g in S:
+                mask |= 1 << operator.index(g)
+            key = (operator.index(h), mask)
+        except (TypeError, ValueError):
+            # A float or a negative index: raise as oracle_allocation does.
+            _check_opponents(self.env, h, S)
+            raise
         hit = self._solutions.get(key)
         if hit is not None:
             return hit
         # A miss checks its indices as oracle_allocation does, so a rejected
-        # key is never cached and a hit costs no check.
+        # key (out of range, empty, or holding h) is never cached and a hit
+        # costs no sort.
         opponents = _check_opponents(self.env, h, S)
         maxd = self.env.max_divergence
         live = [g for g in opponents if maxd[h][g] > 0.0]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import activeht
 from activeht import OracleCache, load_environment, oracle_allocation, worst_case_rate
 
 # Base seed for every seeded statistical check in the suite; results are
@@ -32,6 +38,17 @@ def certified_allocation(env, h, S):
     scale = float(rows.max())
     assert -CERT_ROUNDING * scale <= gap <= CERT_TOL * scale, (gap, scale)
     return sol
+
+
+def run_fresh_python(code, **environ):
+    """Run ``code`` in a fresh interpreter that imports this activeht, with
+    ``environ`` over this process's environment (a None value unsets)."""
+    src = str(Path(activeht.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **environ}
+    env = {name: value for name, value in env.items() if value is not None}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,7 @@ from activeht import (
 )
 
 from conftest import BASE_SEED, certified_allocation
+from summary_rows import capped_mean_tau, failure_rate
 
 DELTA_GRID = (0.1, 0.05, 0.01, 0.005, 0.001)
 ALPHA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -181,10 +182,10 @@ def test_criterion_5_degenerate_separation(mc):
     delta = 0.1
     rows = {kind: mc("degenerate", kind, delta, 1.0, 1000, DEGENERATE_CAP)
             for kind in ("Greedy", "TaS", "StopElim", "FullElim")}
-    greedy_failure = rows["Greedy"].failure_rate()
-    tracking_failures = {k: rows[k].failure_rate() for k in ("TaS", "StopElim", "FullElim")}
-    greedy_mean = rows["Greedy"].capped_mean_tau(DEGENERATE_CAP)
-    full_mean = rows["FullElim"].capped_mean_tau(DEGENERATE_CAP)
+    greedy_failure = failure_rate(rows["Greedy"])
+    tracking_failures = {k: failure_rate(rows[k]) for k in ("TaS", "StopElim", "FullElim")}
+    greedy_mean = capped_mean_tau(rows["Greedy"], DEGENERATE_CAP)
+    full_mean = capped_mean_tau(rows["FullElim"], DEGENERATE_CAP)
     ok = (greedy_failure >= 0.3
           and all(e <= delta for e in tracking_failures.values())
           and greedy_mean >= 2 * full_mean)

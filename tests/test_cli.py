@@ -14,7 +14,7 @@ from activeht.cli import (
 )
 from activeht import load_environment
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, run_fresh_python
 
 
 def run_cli(capsys, argv):
@@ -340,7 +340,27 @@ class TestPinnedSweeps:
         assert hashlib.sha256(manifest.encode()).hexdigest() == manifest_digest
 
 
+# SHA-256 of `diagnose --env skewed --delta 0.1 --seed 7` output files.
+PINNED_DIAGNOSE_SHA256 = {
+    "trace.json": "1fec91ef10486fef33092cfcabe4314c058e14263653d975d2e924db269ab62a",
+    "active_set.csv": "bed9c440bb61eeab91dcdcaaac57aa94310d8e4c9943cc828ce40ce6a4e268d0",
+    "allocation.csv": "7a5589cb131c2e829fb8c77f396f57ae568b9b49f4ac88bf41a8c19710f0f1d5",
+    "evidence.csv": "3341e9042e5ef2d19e39a88efa6c8391fd473b0191e246c935fa910f2f049bd1",
+    "rates.csv": "e6acbb786f04272daf214833739175f9407c959a143e27a00b585225137c46de",
+}
+
+
 class TestDiagnose:
+    def test_trace_and_panels_match_pinned_digests(self, capsys, tmp_path):
+        plots = tmp_path / "plots"
+        code, _, _ = run_cli(capsys, [
+            "diagnose", "--env", "skewed", "--delta", "0.1", "--seed", "7",
+            "--out", str(tmp_path / "trace.json"), "--plot-dir", str(plots)])
+        assert code == EXIT_OK
+        paths = [tmp_path / "trace.json", *(plots / name for name in list(PINNED_DIAGNOSE_SHA256)[1:])]
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in paths} == PINNED_DIAGNOSE_SHA256
+
     def test_trace_and_panels(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         plots = tmp_path / "plots"
@@ -414,3 +434,22 @@ class TestDiagnose:
             "kind": "FullElim", "delta": 0.1, "alpha": 1.0, "b": 0.8, "c": None,
             "max_steps": 20000,
         }
+
+
+class TestProcessExit:
+    def test_atexit_handlers_run_and_piped_output_arrives_whole(self, tmp_path):
+        # main() freezes the heap before it exits; the exit must still run
+        # atexit handlers and flush the block-buffered pipe.
+        out_path = tmp_path / "exp1.csv"
+        code = ("import atexit, sys\n"
+                "atexit.register(print, 'atexit handler ran')\n"
+                "from activeht.cli import main\n"
+                f"sys.argv = ['activeht', 'exp1', '--env', 'skewed', '--trials', '2',\n"
+                f"            '--out', {str(out_path)!r}]\n"
+                "main()\n")
+        done = run_fresh_python(code)
+        assert done.returncode == EXIT_OK, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 22
+        assert "\n".join(lines[:21]) + "\n" == out_path.read_text()
+        assert lines[21] == "atexit handler ran"

@@ -20,7 +20,7 @@ from activeht import (
     thresholds,
     update_likelihoods,
 )
-from activeht.engine import _track_ahead, resolve_config
+from activeht.engine import _SetTable, _floor_projection, _track_ahead, resolve_config
 
 from conftest import BASE_SEED
 
@@ -699,6 +699,79 @@ class TestRunAhead:
                 loop[:, j] = loop[:, j - 1] + loop[:, j]
             np.add.accumulate(run, axis=1, out=run)
             assert np.array_equal(run.view(np.int64), loop.view(np.int64))
+
+
+class _FixedCache:
+    """Stands in for OracleCache: candidate h's target is ``weights[h]``,
+    whatever its opponents."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def target(self, h, S):
+        return tuple(self.weights[h]), 0.0
+
+
+class TestIncrementWindow:
+    """A single step reads each set's floored increment from the table's
+    window; it must equal ctrack_select's floored weights bit for bit."""
+
+    @staticmethod
+    def check(table, t, ids):
+        num_actions = table.weights.shape[1]
+        eps = 0.5 / math.sqrt(num_actions * num_actions + t)
+        got = table.increments(t, np.array(ids))
+        for i in ids:
+            want = np.array(_floor_projection(table.weights[i].tolist(), eps))
+            assert np.array_equal(got[i].view(np.int64), want.view(np.int64)), (t, i)
+
+    def test_window_matches_the_single_step_formula(self):
+        # Candidate 0's target has a zero weight, so the floor is active at
+        # every step; candidate 1's smallest weight is 0.04, above eps from
+        # t = 132 on; candidate 2's is above eps at every step.
+        weights = [[0.0, 0.1, 0.2, 0.3, 0.4], [0.04, 0.16, 0.2, 0.3, 0.3],
+                   [0.2, 0.2, 0.2, 0.2, 0.2], [0.5, 0.0, 0.5, 0.0, 0.0],
+                   [0.01, 0.02, 0.03, 0.04, 0.9]]
+        table = _SetTable(_FixedCache(weights), 5, 5)
+        table.solve(range(5))
+        starts = set()
+        for t in range(400):
+            self.check(table, t, range(5))
+            starts.add(table.window_start)
+        # 5 ids of 5 actions: 163-step windows, so t crossed two boundaries.
+        assert starts == {0, 163, 326}
+        floored = [_floor_projection(weights[1], 0.5 / math.sqrt(25 + t)) != weights[1]
+                   for t in (131, 132)]
+        assert floored == [True, False]
+
+    def test_added_and_solved_sets_rebuild_the_window(self):
+        weights = [[0.0, 0.5, 0.5], [0.3, 0.3, 0.4], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]]
+        table = _SetTable(_FixedCache(weights), 4, 3)
+        table.solve(range(4))
+        self.check(table, 10, range(4))
+        assert table.window_start == 10
+        # Mid-window, a FullElim row is left with candidate 1 against {0, 3}.
+        i = table.add(1, np.array([True, False, False, True]))
+        assert table.window is None
+        self.check(table, 11, range(4))
+        table.solve([i])
+        assert table.window is None
+        self.check(table, 12, [*range(4), i])
+        assert table.window_start == 12
+        # The added set's target is candidate 1's.
+        assert table.increments(12, np.array([i]))[i].tolist() == table.increments(
+            12, np.array([1]))[1].tolist()
+
+    def test_a_one_step_window_forms_the_increments_in_use(self):
+        # 40 ids of 64 actions: 4,096 // 2,560 leaves a one-step window.
+        rng = np.random.default_rng(BASE_SEED)
+        weights = rng.dirichlet(np.full(64, 0.5), 40)
+        weights[::3, 0] = 0.0
+        table = _SetTable(_FixedCache(weights.tolist()), 40, 64)
+        table.solve(range(40))
+        for t in (0, 1, 5000, 5001):
+            self.check(table, t, [0, 3, 7, 39])
+            assert table.window is None
 
 
 # SHA-256 of the JSON trace document of one recorded trial per setting and kind.

@@ -1,8 +1,6 @@
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,9 +21,10 @@ from activeht import (
     trial_seed,
 )
 from activeht import harness, oracle
-from activeht.harness import CSV_HEADER, read_summary_csv, write_summary_csv
+from activeht.harness import CSV_HEADER, write_summary_csv
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, run_fresh_python
+from summary_rows import capped_mean_tau, failure_rate, read_summary_csv
 
 
 def _result(tau, correct=True, timed_out=False):
@@ -67,7 +66,7 @@ class TestAggregate:
         row = aggregate([_result(99, timed_out=True)] * 3)
         assert math.isnan(row.mean_tau)
         assert row.timeouts == row.trials == 3
-        assert row.capped_mean_tau(400) == 400.0
+        assert capped_mean_tau(row, 400) == 400.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -76,8 +75,8 @@ class TestAggregate:
     def test_capped_views(self):
         rows = [_result(100), _result(200, correct=False), _result(1000, timed_out=True)]
         row = aggregate(rows)
-        assert row.failure_rate() == pytest.approx(2 / 3)
-        assert row.capped_mean_tau(1000) == pytest.approx((100 + 200 + 1000) / 3)
+        assert failure_rate(row) == pytest.approx(2 / 3)
+        assert capped_mean_tau(row, 1000) == pytest.approx((100 + 200 + 1000) / 3)
 
 
 class TestSeeding:
@@ -276,17 +275,6 @@ class TestSerialSweep:
         assert done.returncode == 0, done.stderr
 
 
-def run_fresh_python(code, **environ):
-    """Run ``code`` in a fresh interpreter that imports this activeht, with
-    ``environ`` over this process's environment (a None value unsets)."""
-    src = str(Path(activeht.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **environ}
-    env = {name: value for name, value in env.items() if value is not None}
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
 class TestBlasThreads:
     # This process imported numpy before activeht, so numpy kept its own
     # setting here: each check runs in a fresh interpreter, which inherits
@@ -412,7 +400,7 @@ class TestCsv:
         assert out.read_text().splitlines()[1].split(",")[6] == "0.428571"
         (back,) = read_summary_csv(out)
         assert back.wrong == 3
-        assert back.failure_rate() == row.failure_rate() == 5 / 9
+        assert failure_rate(back) == failure_rate(row) == 5 / 9
 
     def test_header_check(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from activeht import (
     oracle_allocation,
     worst_case_rate,
 )
+from activeht import oracle
 
 from conftest import BASE_SEED, certified_allocation
 
@@ -359,3 +360,36 @@ class TestOracleCache:
             with pytest.raises(error):
                 cache.target(h, [3])
         assert cache.target(4, [3]) == (tuple([1 / 5] * 5), 0.0)
+
+    @pytest.mark.parametrize("S, error", [([1.7, 2], OracleError), ([-1, 2], IndexError)])
+    def test_bad_opponents_after_a_cached_key_raise_like_the_oracle(self, skewed, S, error):
+        # The key of [1.7, 2] was once built with int(1.7), so the cache
+        # served [1, 2]'s solution; -1 raised "negative shift count".
+        cache = OracleCache(skewed)
+        cache.target(0, [1, 2])
+        with pytest.raises(error):
+            oracle_allocation(skewed, 0, S)
+        for _ in range(2):
+            with pytest.raises(error):
+                cache.target(0, S)
+
+    def test_a_generator_with_a_bad_element_caches_nothing(self, skewed):
+        # The key consumes the generator up to 1.7, so the opponent check
+        # sees only [2]; the error still stands and nothing is cached.
+        cache = OracleCache(skewed)
+        with pytest.raises(TypeError):
+            cache.target(0, (g for g in [1.7, 2]))
+        for h, S, error in [(3, [1.7], OracleError), (0, [-1], IndexError)]:
+            with pytest.raises(error):
+                cache.target(h, S)
+        assert cache.target(0, [2]) == cache.target(0, np.array([2]))
+
+    def test_a_hit_skips_the_opponent_check(self, skewed, monkeypatch):
+        cache = OracleCache(skewed)
+        solution = cache.target(0, [1, 2])
+
+        def refuse(*args):
+            raise AssertionError("a cache hit sorted its opponents")
+
+        monkeypatch.setattr(oracle, "_check_opponents", refuse)
+        assert cache.target(0, np.array([2, 1])) == solution
