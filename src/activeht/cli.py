@@ -72,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--true-h", type=int, default=0, help="index of the true hypothesis")
     run_flags.add_argument("--seed", type=int, default=0)
     run_flags.add_argument("--b", type=float, default=DEFAULT_B, help="threshold slope")
-    run_flags.add_argument("--c", type=float, default=None,
-                           help=f"threshold offset (default log(K-1) - {-DEFAULT_C_OFFSET:g})")
+    run_flags.add_argument(
+        "--c", type=float, default=None,
+        help=f"threshold offset (default log(max(K-1, 4)) - {-DEFAULT_C_OFFSET:g})")
     run_flags.add_argument("--max-steps", type=int, default=CLI_MAX_STEPS)
     sweep_flags = argparse.ArgumentParser(add_help=False)
     sweep_flags.add_argument("--trials", type=int, default=1000)

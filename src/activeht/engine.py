@@ -97,7 +97,7 @@ POLICY_KINDS = ("Greedy", "TaS", "StopElim", "FullElim")
 # b and offset c trade identification speed against the rate of early false
 # eliminations; these defaults are calibrated on the built-in environments
 # (see tests) and can be overridden per run.  c defaults to the union-bound
-# offset log(K - 1) plus a calibrated shift.
+# offset log(K - 1), raised to log 4 for K <= 4, plus a calibrated shift.
 DEFAULT_B = 0.8
 DEFAULT_C_OFFSET = -1.7863
 
@@ -120,9 +120,10 @@ _WINDOW_CELLS = 4096
 class PolicyConfig:
     """Policy selection plus every constant the stopping logic needs.
 
-    ``c=None`` resolves to ``log(K - 1) + DEFAULT_C_OFFSET`` for the
-    environment the trial runs on: a union-bound offset over the K - 1
-    opponents plus a calibrated shift.
+    ``c=None`` resolves to ``log(max(K - 1, 4)) + DEFAULT_C_OFFSET`` for
+    the environment the trial runs on: a union-bound offset over the K - 1
+    opponents, at least log 4 (below it K = 2 and 3 broke delta = 0.1),
+    plus a calibrated shift.
     """
 
     kind: str
@@ -143,20 +144,28 @@ class PolicyConfig:
             raise ValueError(f"threshold slope b must be positive and finite, got {self.b}")
         if self.c is not None and not isfinite(self.c):
             raise ValueError(f"threshold offset c must be finite, got {self.c}")
-        # operator.index rejects a cap of 10.5 instead of running past it.
-        try:
-            object.__setattr__(self, "max_steps", operator.index(self.max_steps))
-        except TypeError:
-            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        _integer_field(self, "max_steps", 1)
+
+
+def _integer_field(config, name: str, minimum: int | None = None) -> None:
+    """Store field ``name`` of a frozen config as an int, at least ``minimum``
+    if given.  operator.index rejects a cap of 10.5 instead of running past
+    it, and a seed of 1.7 instead of truncating it."""
+    value = getattr(config, name)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    object.__setattr__(config, name, value)
 
 
 def resolve_config(cfg: PolicyConfig, env: Environment) -> PolicyConfig:
     """Fill in environment-dependent defaults (the threshold offset c)."""
     if cfg.c is not None:
         return cfg
-    return replace(cfg, c=log(max(env.num_hypotheses - 1, 1)) + DEFAULT_C_OFFSET)
+    return replace(cfg, c=log(max(env.num_hypotheses - 1, 4)) + DEFAULT_C_OFFSET)
 
 
 def thresholds(t: int, cfg: PolicyConfig) -> tuple[float, float]:
@@ -370,17 +379,13 @@ class _Rows:
         for name, value in list(vars(self).items()):
             setattr(self, name, value[mask])
 
-    def part(self, lo: int, hi: int, *names) -> list:
-        """Views of rows [lo, hi) of the named arrays, valid until ``keep``."""
-        return [getattr(self, name)[lo:hi] for name in names]
-
 
 class _SetTable:
     """The tracking targets of a lockstep batch, by opponent-set id.
 
     Ids 0..K-1 are the full sets; ``add`` numbers a reduced set the first
-    time a FullElim row is left with it.  ``weights[i]`` and ``floor[i]``
-    (their minimum) stay zero until ``solve`` takes set i from the cache.
+    time a FullElim row is left with it.  ``weights[i]`` stays zero until
+    ``solve`` takes set i from the cache.
     ``window`` holds the floored increments of every id over the steps from
     ``window_start`` on; adding or solving a set drops it.
     """
@@ -391,7 +396,6 @@ class _SetTable:
         self.sets = [(h, [g for g in range(k) if g != h]) for h in range(k)]
         self.ids = {}
         self.weights = np.zeros((k, num_actions))
-        self.floor = np.zeros(k)
         self.solved = np.zeros(k, dtype=bool)
         self.window_start = 0
         self.window = None
@@ -404,10 +408,9 @@ class _SetTable:
             i = self.ids[key] = len(self.sets)
             self.sets.append((h, survivors.nonzero()[0].tolist()))
             self.window = None
-            if i == len(self.floor):
-                self.weights, self.floor, self.solved = (
-                    np.concatenate((x, np.zeros_like(x)))
-                    for x in (self.weights, self.floor, self.solved))
+            if i == len(self.solved):
+                self.weights, self.solved = (np.concatenate((x, np.zeros_like(x)))
+                                             for x in (self.weights, self.solved))
         return i
 
     def solve(self, ids) -> None:
@@ -415,7 +418,6 @@ class _SetTable:
             if not self.solved[i]:
                 w, _ = self.cache.target(*self.sets[i])
                 self.weights[i] = w
-                self.floor[i] = min(w)
                 self.solved[i] = True
                 self.window = None
 
@@ -434,15 +436,13 @@ class _SetTable:
         span = _WINDOW_CELLS // (num_ids * num_actions)
         if span > 1:
             self.window_start = t
-            self.window = _floored(self.weights[:num_ids], self.floor[:num_ids],
-                                   _eps(num_actions, t, span))
+            self.window = _floored(self.weights[:num_ids], _eps(num_actions, t, span))
             return self.window[0]
         # The ids in use (bincount, since np.unique imports numpy.ma on its
         # first call).
         used = np.bincount(ids).nonzero()[0]
         increment = np.empty_like(self.weights)
-        increment[used] = _floored(self.weights.take(used, axis=0), self.floor[used],
-                                   _eps(num_actions, t, 1))[0]
+        increment[used] = _floored(self.weights.take(used, axis=0), _eps(num_actions, t, 1))[0]
         return increment
 
 
@@ -552,10 +552,9 @@ def run_trials(
         at_champion = row_k + champion
         set_ids = rows.set_ids.reshape(-1)
         active = rows.active.reshape(-1, k)
-        tracking_champion, target, tracking_counts = rows.part(
-            g, n, "champion", "target", "counts")
-        greedy_champion, greedy_rival = rows.part(0, g, "champion", "rival")
-        stop_loglik, rival = rows.part(0, s, "loglik", "rival")
+        tracking_champion, target, tracking_counts = champion[g:], rows.target[g:], rows.counts[g:]
+        greedy_champion, greedy_rival = champion[:g], rows.rival[:g]
+        stop_loglik, rival = rows.loglik[:s], rows.rival[:s]
         stop_k = row_k[:s]
         # A small batch runs ahead (see the module docstring); a recorded trial
         # takes single steps.  A block's (K, span, rows) log-likelihoods and
@@ -606,8 +605,7 @@ def run_trials(
                                 means.take(greedy, axis=0).T[:, None, :], out=gap[:, :, :g])
                 if g < n:
                     actions, targets = _track_ahead(
-                        target, tracking_counts, table.weights.take(ids, axis=0),
-                        table.floor[ids], t, span)
+                        target, tracking_counts, table.weights.take(ids, axis=0), t, span)
                     np.subtract(true_means[actions] + drawn[:, g:], means.T[:, actions],
                                 out=gap[:, :, g:])
                 run = np.empty((k, span + 1, n))
@@ -765,19 +763,21 @@ def _eps(num_actions: int, t: int, span: int):
     return np.array([0.5 / sqrt(num_actions * num_actions + u) for u in range(t, t + span)])
 
 
-def _floored(weights, wmin, eps, out=None):
-    """ctrack_select's floored increments of ``weights`` (rows, A), whose
-    minima are ``wmin``, at each step's eps: shape (span, rows, A).
+def _floored(weights, eps, out=None):
+    """ctrack_select's floored increments of ``weights`` (rows, A) at each
+    step's eps: shape (span, rows, A).
 
-    The operations are _floor_projection's: eta = 0 leaves a row's weights
-    as they are, as _floor_projection does when min(w) >= eps.
+    The operations are _floor_projection's, row minimum included: eta = 0
+    leaves a row's weights as they are, as _floor_projection does when
+    min(w) >= eps.
     """
     num_actions = weights.shape[-1]
+    wmin = weights.min(axis=1)
     eta = (np.maximum(eps[:, None] - wmin, 0.0) / (1.0 - num_actions * eps)[:, None])[..., None]
     return np.divide(weights + eta, 1.0 + num_actions * eta, out=out)
 
 
-def _track_ahead(target, counts, weights, wmin, t, span):
+def _track_ahead(target, counts, weights, t, span):
     """The actions and cumulative targets of tracking rows over the next
     ``span`` steps, t + 1 to t + span, while their weights hold.
 
@@ -789,7 +789,7 @@ def _track_ahead(target, counts, weights, wmin, t, span):
     num_rows, num_actions = target.shape
     targets = np.empty((span + 1, num_rows, num_actions))
     targets[0] = target
-    _floored(weights, wmin, _eps(num_actions, t, span), out=targets[1:])
+    _floored(weights, _eps(num_actions, t, span), out=targets[1:])
     np.add.accumulate(targets, axis=0, out=targets)
     targets = targets[1:]
     actions = np.empty((span, num_rows), dtype=np.intp)

@@ -23,6 +23,7 @@ from .engine import (
     POLICY_KINDS,
     PolicyConfig,
     TrialResult,
+    _integer_field,
     run_trials,
 )
 from .model import Environment, load_environment
@@ -51,6 +52,8 @@ class ExperimentConfig:
     ``PolicyConfig``; construction checks them by building the config of
     every cell, so the cells it checks are the cells ``run_sweep`` runs.
     Each grid entry is a cell coordinate, so no grid may repeat an entry.
+    ``true_h`` must be an integer; its range is checked by ``run_trials``,
+    which knows K.
     """
 
     environment: str | Environment
@@ -67,13 +70,8 @@ class ExperimentConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("trials", "workers"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, minimum in (("trials", 1), ("workers", 1), ("true_h", None), ("base_seed", None)):
+            _integer_field(self, name, minimum)
         if not self.deltas or not self.alphas or not self.policies:
             raise ValueError("policy, delta, and alpha grids must be nonempty")
         for name in ("policies", "deltas", "alphas"):

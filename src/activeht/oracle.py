@@ -82,7 +82,7 @@ class OracleSolution:
 
 def worst_case_rate(env: Environment, h: int, S, w) -> float:
     """min over g in S of the w-weighted divergence between h and g."""
-    opponents = _check_opponents(env, h, S)
+    h, opponents = _check_opponents(env, h, S)
     weights = w.weights if isinstance(w, Allocation) else Allocation(tuple(w)).weights
     if len(weights) != env.num_actions:
         raise OracleError(
@@ -99,7 +99,7 @@ def oracle_allocation(env: Environment, h: int, S) -> OracleSolution:
     divergence from ``h`` under every action (the optimum rate is 0), and
     OracleError when the dual weights do not certify the rate.
     """
-    opponents = _check_opponents(env, h, S)
+    h, opponents = _check_opponents(env, h, S)
     maxd = env.max_divergence
     dead = [g for g in opponents if maxd[h][g] == 0.0]
     if dead:
@@ -250,9 +250,11 @@ def _pivot(aug, basis, row, col, buf=None):
     basis[row] = col
 
 
-def _check_opponents(env: Environment, h: int, S) -> list[int]:
-    # operator.index takes ints and numpy integers but no float, so 1.7 is
-    # rejected rather than truncated to 1.
+def _check_opponents(env: Environment, h: int, S) -> tuple[int, list[int]]:
+    """The candidate and its sorted opponents as ints, read in one pass over
+    S; raises on a non-integer, an out-of-range index, an empty set or h in
+    S.  operator.index takes ints, bools and numpy integers but no float,
+    so 1.7 is rejected rather than truncated to 1, and True becomes 1."""
     try:
         h = operator.index(h)
         opponents = sorted({operator.index(g) for g in S})
@@ -267,14 +269,16 @@ def _check_opponents(env: Environment, h: int, S) -> list[int]:
     for g in opponents:
         if not 0 <= g < env.num_hypotheses:
             raise IndexError(f"opponent index {g} out of range")
-    return opponents
+    return h, opponents
 
 
 class OracleCache:
-    """Memoized solutions keyed by (candidate, opponent bitmask).
+    """Memoized solutions keyed by (candidate, sorted opponents).
 
     The divergence table is fixed per environment, so solutions can be
-    shared by every trial that runs on it.  Also provides the engine-facing
+    shared by every trial that runs on it.  Every lookup checks its indices
+    with ``_check_opponents``, so it raises as ``oracle_allocation`` does
+    and nothing rejected is cached.  Also provides the engine-facing
     target, which stays well-defined when some opponents have zero
     divergence from the candidate: those opponents contribute a hard zero
     to the max-min value regardless of the allocation, so the target is
@@ -284,25 +288,14 @@ class OracleCache:
 
     def __init__(self, env: Environment):
         self.env = env
-        self._solutions: dict[tuple[int, int], tuple[tuple[float, ...], float]] = {}
+        self._solutions: dict[tuple[int, tuple[int, ...]], tuple[tuple[float, ...], float]] = {}
 
     def target(self, h: int, S) -> tuple[tuple[float, ...], float]:
-        try:
-            mask = 0
-            for g in S:
-                mask |= 1 << operator.index(g)
-            key = (operator.index(h), mask)
-        except (TypeError, ValueError):
-            # A float or a negative index: raise as oracle_allocation does.
-            _check_opponents(self.env, h, S)
-            raise
+        h, opponents = _check_opponents(self.env, h, S)
+        key = (h, tuple(opponents))
         hit = self._solutions.get(key)
         if hit is not None:
             return hit
-        # A miss checks its indices as oracle_allocation does, so a rejected
-        # key (out of range, empty, or holding h) is never cached and a hit
-        # costs no sort.
-        opponents = _check_opponents(self.env, h, S)
         maxd = self.env.max_divergence
         live = [g for g in opponents if maxd[h][g] > 0.0]
         if live:

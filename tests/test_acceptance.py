@@ -314,8 +314,6 @@ def clopper_pearson_upper(failures, trials, confidence=0.95):
     return hi
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the default threshold offset "
-                   "c = log(K-1) - 1.7863 breaks delta-PAC at K = 2")
 def test_default_threshold_is_delta_pac_at_k2():
     env = load_environment({"name": "k2-breach", "sigma": 0.163,
                             "means": [[0.3926, 0.2474], [0.4366, 0.4197]]})
@@ -325,5 +323,20 @@ def test_default_threshold_is_delta_pac_at_k2():
     failures = sum(1 for r in results if r.timed_out or not r.correct)
     upper = clopper_pearson_upper(failures, trials)
     print(f"[delta-PAC at K = 2] {failures} of {trials} failed, "
+          f"Clopper-Pearson upper bound {upper:.4f} against delta = {delta}")
+    assert upper <= delta
+
+
+def test_default_threshold_is_delta_pac_at_k3():
+    # The K = 3 member of ROADMAP's default_rng(2026) family that broke
+    # delta = 0.1 under the offset log(K-1) - 1.7863 (TaS: 523 of 4,000).
+    env = load_environment({"name": "k3-breach", "sigma": 0.384,
+                            "means": [[0.4166, 0.7742, 0.9585], [0.8884, 0.6209, 0.1603]]})
+    delta, trials = 0.1, 4000
+    cfg = PolicyConfig(kind="TaS", delta=delta, max_steps=20_000)
+    results = run_trials(env, 1, [cfg] * trials, range(20_000, 20_000 + trials))
+    failures = sum(1 for r in results if r.timed_out or not r.correct)
+    upper = clopper_pearson_upper(failures, trials)
+    print(f"[delta-PAC at K = 3] {failures} of {trials} failed, "
           f"Clopper-Pearson upper bound {upper:.4f} against delta = {delta}")
     assert upper <= delta

@@ -677,7 +677,7 @@ class TestRunAhead:
             wmin = weights.min(axis=1)
             counts = rng.integers(0, t + 1, (rows, num_actions))
             target = counts + rng.uniform(-1, 1, (rows, num_actions))
-            actions, targets = _track_ahead(target, counts, weights, wmin, t, span)
+            actions, targets = _track_ahead(target, counts, weights, t, span)
             for j, u in enumerate(range(t, t + span)):
                 eps = 0.5 / math.sqrt(num_actions * num_actions + u)
                 eta = (np.maximum(eps - wmin, 0.0) / (1.0 - num_actions * eps))[:, None]

@@ -117,6 +117,8 @@ class TestConfigValidation:
         {"trials": 2.5},
         {"workers": 1.5},
         {"max_steps": 10.5},
+        {"true_h": 1.5},
+        {"base_seed": 1.5},
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from activeht import (
     oracle_allocation,
     worst_case_rate,
 )
-from activeht import oracle
 
 from conftest import BASE_SEED, certified_allocation
 
@@ -103,6 +102,14 @@ class TestWorstCaseRate:
         plain = certified_allocation(skewed, 0, [1, 2])
         assert certified_allocation(skewed, np.int64(0), np.array([2, 1], dtype=np.int32)) == plain
         assert worst_case_rate(skewed, np.int32(0), np.array([1, 2]), plain.allocation) == plain.rate
+
+    def test_bool_candidate_reads_as_hypothesis_1(self, skewed):
+        # run_trials reads true_h = True as 1; the oracle once indexed its
+        # tables with True itself and failed inside numpy.
+        one = certified_allocation(skewed, 1, [0, 2])
+        assert oracle_allocation(skewed, True, [0, 2]) == one
+        assert worst_case_rate(skewed, True, [0, 2], one.allocation) == one.rate
+        assert OracleCache(skewed).target(True, [0, 2]) == (one.allocation.weights, one.rate)
 
 
 class TestOracleAllocation:
@@ -373,23 +380,19 @@ class TestOracleCache:
             with pytest.raises(error):
                 cache.target(0, S)
 
-    def test_a_generator_with_a_bad_element_caches_nothing(self, skewed):
-        # The key consumes the generator up to 1.7, so the opponent check
-        # sees only [2]; the error still stands and nothing is cached.
+    def test_a_generator_of_opponents_is_read_once(self, skewed):
+        # The key once read the generator before the opponent check, which
+        # then saw an empty set.
+        direct = certified_allocation(skewed, 0, [1, 2])
         cache = OracleCache(skewed)
-        with pytest.raises(TypeError):
+        assert cache.target(0, (g for g in [1, 2])) == (direct.allocation.weights, direct.rate)
+
+    def test_a_generator_with_a_bad_element_caches_nothing(self, skewed):
+        # It raises as oracle_allocation does, and later lookups still raise.
+        cache = OracleCache(skewed)
+        with pytest.raises(OracleError):
             cache.target(0, (g for g in [1.7, 2]))
         for h, S, error in [(3, [1.7], OracleError), (0, [-1], IndexError)]:
             with pytest.raises(error):
                 cache.target(h, S)
         assert cache.target(0, [2]) == cache.target(0, np.array([2]))
-
-    def test_a_hit_skips_the_opponent_check(self, skewed, monkeypatch):
-        cache = OracleCache(skewed)
-        solution = cache.target(0, [1, 2])
-
-        def refuse(*args):
-            raise AssertionError("a cache hit sorted its opponents")
-
-        monkeypatch.setattr(oracle, "_check_opponents", refuse)
-        assert cache.target(0, np.array([2, 1])) == solution
