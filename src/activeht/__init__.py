@@ -23,7 +23,6 @@ from .model import (
     ModelError,
     PRESET_NAMES,
     load_environment,
-    preset_environment,
 )
 from .oracle import (
     Allocation,
@@ -86,7 +85,6 @@ __all__ = [
     "load_environment",
     "new_trial_state",
     "oracle_allocation",
-    "preset_environment",
     "run_delta_sweep",
     "run_sweep",
     "run_trial",

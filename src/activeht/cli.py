@@ -16,7 +16,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .engine import DEFAULT_B, DEFAULT_C_OFFSET, POLICY_KINDS, PolicyConfig, run_trial
+from .engine import (
+    DEFAULT_B,
+    DEFAULT_C_OFFSET,
+    POLICY_KINDS,
+    PolicyConfig,
+    resolve_config,
+    run_trial,
+)
 from .harness import (
     ALPHA_GRID,
     DELTA_GRID,
@@ -187,9 +194,12 @@ def _cmd_sweep(args) -> int:
         environment=load_environment(args.env), true_h=args.true_h, **grids,
         trials=args.trials, base_seed=args.seed, workers=args.workers, out=args.out,
         b=args.b, c=args.c, max_steps=args.max_steps)
+    # c resolves from K alone, so the first cell's c is every cell's.
+    first = ecfg.policy_config(ecfg.policies[0], ecfg.deltas[0], ecfg.alphas[0])
     rows = run_sweep(ecfg)
-    _write_manifest(args.command, args.out, {**asdict(ecfg), "environment": args.env,
-                                             "environment_sha256": ecfg.environment.sha256()})
+    _write_manifest(args.command, args.out, {
+        **asdict(ecfg), "environment": args.env, "c": resolve_config(first, ecfg.environment).c,
+        "environment_sha256": ecfg.environment.sha256()})
     print(summary_to_csv(rows), end="")
     return EXIT_OK
 
@@ -200,7 +210,8 @@ def _cmd_diagnose(args) -> int:
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
     _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,
-                                           "seed": args.seed, "out": args.out, **asdict(cfg)})
+                                           "seed": args.seed, "out": args.out,
+                                           **asdict(resolve_config(cfg, env))})
     if args.plot_dir is not None:
         paths = emit_plot_data(trace, args.plot_dir)
         for p in paths:

@@ -815,6 +815,9 @@ def _record_round(trace, env, cfg, cache, t, rows, removed):
     level = loglik[ch]
     survivors = rows.active[0, ch].nonzero()[0].tolist()
     pre_set = survivors + removed
+    # The oracle rate changes only with the champion or its set, so the
+    # cache is asked only then.
+    unchanged = trace.champion[-1:] == [ch] and trace.active_set[-1:] == [survivors]
     _, beta_elim = thresholds(t, cfg)
     trace.t.append(t)
     trace.champion.append(ch)
@@ -827,7 +830,7 @@ def _record_round(trace, env, cfg, cache, t, rows, removed):
     trace.beta_elim.append(beta_elim)
     trace.events.append(removed)
     if survivors:
-        _, rate = cache.target(ch, survivors)
+        rate = trace.oracle_rate[-1] if unchanged else cache.target(ch, survivors)[1]
         weights = np.array(alloc)
         emp = min(float(np.dot(weights, env.kl_table[:, ch, g])) for g in survivors)
         trace.oracle_rate.append(rate)

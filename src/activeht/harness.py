@@ -108,10 +108,6 @@ class SummaryRow:
     trials: int
     wrong: int
 
-    @property
-    def completed(self) -> int:
-        return self.trials - self.timeouts
-
 
 def trial_seed(base_seed: int, policy: str, delta: float, alpha: float, index: int) -> int:
     """Stable per-trial seed of one (policy, delta, alpha) cell."""
@@ -222,11 +218,11 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
             for j, (kind, delta, alpha) in enumerate(cells)]
     rows.sort(key=lambda r: (r.policy, -r.delta, r.alpha))
     if ecfg.out:
-        write_summary_csv(rows, ecfg.out)
+        Path(ecfg.out).write_text(summary_to_csv(rows))
     return rows
 
 
-# perfbench/layers.py imports this name; ROADMAP item 4 step 1 drops it when
+# perfbench/layers.py imports this name; ROADMAP item 5 step 1 drops it when
 # that script is re-aimed at run_trials and run_sweep.
 run_delta_sweep = run_sweep
 
@@ -240,7 +236,3 @@ def summary_to_csv(rows) -> str:
             f"{r.timeouts},{r.trials}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_summary_csv(rows, path) -> None:
-    Path(path).write_text(summary_to_csv(rows))

@@ -164,17 +164,6 @@ _PRESET_TABLES: dict[str, tuple[tuple[float, ...], ...]] = {
 PRESET_NAMES = tuple(sorted(_PRESET_TABLES))
 
 
-def preset_environment(name: str) -> Environment:
-    """One of the built-in environments, by name."""
-    try:
-        table = _PRESET_TABLES[name]
-    except KeyError:
-        raise MalformedDocumentError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return Environment(name=name, means=table, sigma=1.0)
-
-
 def load_environment(source) -> Environment:
     """The Environment a preset name, file, dict or JSON text describes.
 
@@ -186,7 +175,7 @@ def load_environment(source) -> Environment:
     if isinstance(source, Environment):
         return source
     if isinstance(source, str) and source in _PRESET_TABLES:
-        return preset_environment(source)
+        return Environment(name=source, means=_PRESET_TABLES[source], sigma=1.0)
     env = _environment_from_document(_read_document(source))
     if pairs := env.indistinguishable_pairs():
         raise IdentifiabilityError(f"no action distinguishes hypothesis pairs {pairs}")
@@ -199,9 +188,8 @@ def _read_document(source) -> dict:
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
         path = Path(source)
         if not path.exists():
-            raise MalformedDocumentError(
-                f"{source!r} is neither a preset name nor an existing file"
-            )
+            raise MalformedDocumentError(f"{source!r} is neither a preset name nor an existing "
+                                         f"file; presets: {', '.join(PRESET_NAMES)}")
         text = path.read_text()
     else:
         text = source

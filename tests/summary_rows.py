@@ -25,6 +25,11 @@ def read_summary_csv(path) -> list[SummaryRow]:
     return rows
 
 
+def completed(row: SummaryRow) -> int:
+    """Number of trials that stopped before the cap."""
+    return row.trials - row.timeouts
+
+
 def failure_rate(row: SummaryRow) -> float:
     """Fraction of trials that were wrong or never stopped."""
     return (row.wrong + row.timeouts) / row.trials
@@ -32,6 +37,7 @@ def failure_rate(row: SummaryRow) -> float:
 
 def capped_mean_tau(row: SummaryRow, max_steps: int) -> float:
     """Mean stopping time with timed-out trials entering at the cap."""
-    if row.completed == 0:
+    done = completed(row)
+    if done == 0:
         return float(max_steps)
-    return (row.mean_tau * row.completed + row.timeouts * max_steps) / row.trials
+    return (row.mean_tau * done + row.timeouts * max_steps) / row.trials

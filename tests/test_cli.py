@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -12,7 +13,8 @@ from activeht.cli import (
     build_parser,
     dispatch,
 )
-from activeht import load_environment
+from activeht import PolicyConfig, load_environment
+from activeht.engine import DEFAULT_C_OFFSET, resolve_config
 
 from conftest import BASE_SEED, run_fresh_python
 
@@ -40,6 +42,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("source, field", [
         ("missing-env", "neither a preset name nor an existing file"),
+        ("typo", "presets: degenerate, hard-weak, skewed"),
         ('{"name": "x", "means": [[0, Infinity], [0.5, 0.2]]}', "non-finite"),
         ('{"name": "x", "means": []}', "non-empty"),
         # no action separates hypotheses 0 and 1
@@ -268,6 +271,20 @@ class TestExperiments:
         assert manifest["config"]["environment"] == "skewed"
         assert manifest["config"]["environment_sha256"] == load_environment("skewed").sha256()
 
+    def test_manifest_holds_the_resolved_c_at_k3(self, capsys, tmp_path):
+        # Below K = 5 the default c is floored at log 4, so a manifest that
+        # left it unresolved would not say which threshold ran.
+        doc = {"name": "k3", "sigma": 0.384,
+               "means": [[0.4166, 0.7742, 0.9585], [0.8884, 0.6209, 0.1603]]}
+        env_path, out_path = tmp_path / "k3.json", tmp_path / "exp1.csv"
+        env_path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, ["exp1", "--env", str(env_path), "--true-h", "1",
+                                      "--trials", "2", "--deltas", "0.1", "--out", str(out_path)])
+        assert code == EXIT_OK
+        config = json.loads((tmp_path / "exp1.csv.manifest.json").read_text())["config"]
+        expected = resolve_config(PolicyConfig(kind="TaS", delta=0.1), load_environment(doc)).c
+        assert config["c"] == expected == math.log(4) + DEFAULT_C_OFFSET
+
     def test_exp1_rerun_is_byte_identical(self, capsys, tmp_path):
         argv = ["exp1", "--env", "skewed", "--trials", "4", "--deltas", "0.4,0.2",
                 "--policies", "TaS,FullElim", "--seed", "11"]
@@ -311,18 +328,20 @@ class TestPinnedSweeps:
     """SHA-256 digests of sweep CSVs and manifests (``out`` blanked).
 
     A change to the sweep code that keeps these digests keeps the published
-    tables byte for byte: cell order, seeds, batching and formatting.
+    tables byte for byte: cell order, seeds, batching and formatting.  The
+    first two rows leave c at its default, and their manifests hold the
+    resolved value.
     """
 
     @pytest.mark.parametrize("argv, csv_digest, manifest_digest", [
         (["exp1", "--env", "skewed", "--trials", "3"],
          "afd4183bc2a26031e3e5467d9af242e51371caeed2d9e1a4d2cd6a0a1a9da257",
-         "3f3231f2ef33e9bf95692e9021b0582a75d662ae218da0a7484d256a86f196a3"),
+         "385d6940dcb2cf0903c31b7c2e919356cfa1fbb5a7150f481e64cdda8d98dd6d"),
         # every trial times out at the 400-step cap: NaN rows
         (["exp1", "--env", "degenerate", "--trials", "3", "--workers", "2",
           "--max-steps", "400"],
          "8e9279a245fd48a3931ca67dc3964128d7a67333a591f391858221f06407b1af",
-         "e2248aae5ef943ef521e6d83f70c4c444bc7c9d3a5b125f1d7d9973aa540689a"),
+         "d42616992b29b183f280bbba3c40978263a2fd77cb389f03010a8477931206f7"),
         (["exp2", "--env", "hard-weak", "--trials", "3", "--workers", "2",
           "--b", "0.7", "--c", "0.1"],
          "e757cd8178e1f84dbb94b2316de8fbc91f34c42c01de5394eb540b51b54dee4b",
@@ -431,7 +450,7 @@ class TestDiagnose:
         assert manifest["command"] == "diagnose"
         assert manifest["config"] == {
             "environment": "skewed", "true_h": 0, "seed": 7, "out": str(out_path),
-            "kind": "FullElim", "delta": 0.1, "alpha": 1.0, "b": 0.8, "c": None,
+            "kind": "FullElim", "delta": 0.1, "alpha": 1.0, "b": 0.8, "c": -0.4000056388801094,
             "max_steps": 20000,
         }
 

@@ -388,14 +388,17 @@ def _outcomes(results):
 
 
 class _KeyCache(OracleCache):
-    """OracleCache that records every (candidate, opponent set) asked for."""
+    """OracleCache that records every (candidate, opponent set) asked for,
+    and counts the calls."""
 
     def __init__(self, env):
         super().__init__(env)
         self.keys = set()
+        self.calls = 0
 
     def target(self, h, S):
         self.keys.add((h, frozenset(S)))
+        self.calls += 1
         return super().target(h, S)
 
 
@@ -463,6 +466,18 @@ class TestLockstep:
                     split[j] = r
             alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
             assert whole == split == alone
+
+    def test_recorded_trial_asks_the_cache_once_per_set_change(self, degenerate):
+        # A capped Greedy trial keeps a few (champion, set) keys for
+        # thousands of rounds, and its oracle rate changes only with the key.
+        cfg = PolicyConfig(kind="Greedy", delta=0.1, max_steps=2000)
+        cache = _KeyCache(degenerate)
+        trace = run_trial(degenerate, 0, cfg, 7, record_diagnostics=True, cache=cache).diagnostics
+        keys = list(zip(trace.champion, map(tuple, trace.active_set)))
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert len(trace.t) == 2000
+        assert cache.calls <= changes + 1
+        assert trace == run_trial(degenerate, 0, cfg, 7, record_diagnostics=True).diagnostics
 
     def test_returning_champion_tracks_its_reduced_set(self, skewed, caches):
         # In this FullElim trial champion h eliminates, the champion moves

@@ -21,10 +21,10 @@ from activeht import (
     trial_seed,
 )
 from activeht import harness, oracle
-from activeht.harness import CSV_HEADER, write_summary_csv
+from activeht.harness import CSV_HEADER
 
 from conftest import BASE_SEED, run_fresh_python
-from summary_rows import capped_mean_tau, failure_rate, read_summary_csv
+from summary_rows import capped_mean_tau, completed, failure_rate, read_summary_csv
 
 
 def _result(tau, correct=True, timed_out=False):
@@ -60,7 +60,7 @@ class TestAggregate:
         row = aggregate(rows)
         assert row.mean_tau == pytest.approx(15.0)
         assert row.timeouts == 1
-        assert row.completed == 2
+        assert completed(row) == 2
 
     def test_all_timed_out_flagged_with_no_mean(self):
         row = aggregate([_result(99, timed_out=True)] * 3)
@@ -396,9 +396,9 @@ class TestCsv:
         results = ([_result(10 + i) for i in range(4)] + [_result(20, correct=False)] * 3
                    + [_result(99, timed_out=True)] * 2)
         row = aggregate(results, environment="e", policy="TaS", delta=0.1, alpha=1.0)
-        assert (row.wrong, row.completed, row.timeouts) == (3, 7, 2)
+        assert (row.wrong, completed(row), row.timeouts) == (3, 7, 2)
         out = tmp_path / "rows.csv"
-        write_summary_csv([row], out)
+        out.write_text(summary_to_csv([row]))
         assert out.read_text().splitlines()[1].split(",")[6] == "0.428571"
         (back,) = read_summary_csv(out)
         assert back.wrong == 3

@@ -8,7 +8,6 @@ from activeht import (
     IdentifiabilityError,
     MalformedDocumentError,
     load_environment,
-    preset_environment,
 )
 
 
@@ -120,7 +119,7 @@ def test_load_sources(tmp_path, skewed):
 
 def test_unknown_preset_lists_choices():
     with pytest.raises(MalformedDocumentError, match="degenerate"):
-        preset_environment("typo")
+        load_environment("typo")
 
 
 def closed_form_kl(env, a, h, g):

@@ -189,6 +189,22 @@ class TestOracleAllocation:
         with pytest.raises(OracleError, match="not certified"):
             OracleCache(env).target(0, [1, 2])
 
+    @pytest.mark.xfail(strict=True, raises=OracleError, reason=(
+        "the absolute pivot tolerance misjudges divergences near 1e-5; ROADMAP item 6 "
+        "scales the LP by a power of two"))
+    def test_large_sigma_twin_certifies(self):
+        # At sigma = 1 this instance certifies with rate 0.0017715456674473038
+        # and weights (0.015807962529273967, 0.984192037470726).  At
+        # sigma = 100 every divergence is 1e-4 of its sigma = 1 value, so the
+        # weights stay and the rate scales by 1e-4; today the solver stops
+        # 2.3e-8 below its dual bound and raises.
+        means = [[0.07, 0.67, 0.15, 0.26, 0.67, 0.91], [0.97, 0.21, 0.21, 0.24, 0.27, 0.57]]
+        env = load_environment({"name": "wide", "sigma": 100.0, "means": means})
+        sol = certified_allocation(env, 1, [0, 2, 3, 4, 5])
+        assert sol.allocation.weights == pytest.approx(
+            (0.015807962529273967, 0.984192037470726), abs=1e-9)
+        assert sol.rate == pytest.approx(1e-4 * 0.0017715456674473038, rel=1e-6)
+
     def test_random_instances_up_to_40_actions(self):
         """K != A, any candidate, and in a third of the instances an
         opponent within 1e-7 of the candidate in half of the actions."""
