@@ -9,8 +9,10 @@ reject as out of range, or a malformed environment document).
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -78,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("--true-h", type=int, default=0, help="index of the true hypothesis")
     run_flags.add_argument("--seed", type=int, default=0)
-    run_flags.add_argument("--b", type=float, default=DEFAULT_B, help="threshold slope")
+    run_flags.add_argument(
+        "--b", type=float, default=DEFAULT_B,
+        help="threshold slope (b = 0 with c = log(K-1) is the proven pair)")
     run_flags.add_argument(
         "--c", type=float, default=None,
         help=f"threshold offset (default log(max(K-1, 4)) - {-DEFAULT_C_OFFSET:g})")
@@ -126,6 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the four plot-ready panel files here")
 
     return parser
+
+
+def _check_out_dir(out: str) -> None:
+    """Raise the error that writing ``out`` would raise on a missing
+    directory, before the run spends its time; a file already at ``out``
+    stays untouched until the run succeeds."""
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 def _write_manifest(command: str, out: str, config: dict) -> None:
@@ -196,6 +208,7 @@ def _cmd_sweep(args) -> int:
         b=args.b, c=args.c, max_steps=args.max_steps)
     # c resolves from K alone, so the first cell's c is every cell's.
     first = ecfg.policy_config(ecfg.policies[0], ecfg.deltas[0], ecfg.alphas[0])
+    _check_out_dir(args.out)
     rows = run_sweep(ecfg)
     _write_manifest(args.command, args.out, {
         **asdict(ecfg), "environment": args.env, "c": resolve_config(first, ecfg.environment).c,
@@ -207,6 +220,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_diagnose(args) -> int:
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
+    _check_out_dir(args.out)
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
     _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,

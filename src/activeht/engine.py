@@ -123,7 +123,9 @@ class PolicyConfig:
     ``c=None`` resolves to ``log(max(K - 1, 4)) + DEFAULT_C_OFFSET`` for
     the environment the trial runs on: a union-bound offset over the K - 1
     opponents, at least log 4 (below it K = 2 and 3 broke delta = 0.1),
-    plus a calibrated shift.
+    plus a calibrated shift.  That default is calibrated, not proven; the
+    pair ``b = 0, c = log(K - 1)`` is proven delta-correct by Ville's
+    inequality (README, Thresholds).
     """
 
     kind: str
@@ -140,8 +142,8 @@ class PolicyConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.b < inf:
-            raise ValueError(f"threshold slope b must be positive and finite, got {self.b}")
+        if not 0.0 <= self.b < inf:
+            raise ValueError(f"threshold slope b must be nonnegative and finite, got {self.b}")
         if self.c is not None and not isfinite(self.c):
             raise ValueError(f"threshold offset c must be finite, got {self.c}")
         _integer_field(self, "max_steps", 1)

@@ -7,7 +7,7 @@ maximizes that rate over the action simplex; the optimum is the speed limit
 for accumulating evidence against the hardest opponent.
 
 The optimizer solves the equivalent linear program on its own dense
-two-phase simplex tableau, phase 2 without the artificial columns, with
+two-phase simplex tableau, which never stores its artificial columns, with
 Bland's anti-cycling pivot rule, so results are deterministic for fixed
 inputs.  Each solution also carries the LP's dual weights lambda on the
 opponents, a certificate of optimality: no allocation can beat
@@ -88,8 +88,12 @@ def worst_case_rate(env: Environment, h: int, S, w) -> float:
         raise OracleError(
             f"allocation has {len(weights)} weights for {env.num_actions} actions"
         )
-    d = env.kl_table
-    return min(float(np.dot(weights, d[:, h, g])) for g in opponents)
+    return _rate(env, h, opponents, weights)
+
+
+def _rate(env: Environment, h: int, opponents: list[int], weights) -> float:
+    """worst_case_rate on checked indices and weights."""
+    return min(float(np.dot(weights, env.kl_table[:, h, g])) for g in opponents)
 
 
 def oracle_allocation(env: Environment, h: int, S) -> OracleSolution:
@@ -108,7 +112,7 @@ def oracle_allocation(env: Environment, h: int, S) -> OracleSolution:
         )
     weights, dual = _solve_maxmin(env, h, opponents)
     alloc = Allocation(weights)
-    rate = worst_case_rate(env, h, opponents, alloc)
+    rate = _rate(env, h, opponents, alloc.weights)
     rows = env.kl_table[:, h, opponents]
     gap = float((rows @ np.array(dual)).max()) - rate
     if gap > CERTIFICATE_TOL * float(rows.max()):
@@ -135,8 +139,11 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
     #   sum_a d_a(h,g) w_a - z - s_g = 0   for each opponent g
     #   sum_a w_a = 1
     # maximized over z, i.e. cost -z minimized.  z >= 0 is valid because
-    # divergences are nonnegative, and the right-hand side is 0/1, so the
-    # phase-1 tableau [A | I] starts feasible on the m artificial columns.
+    # divergences are nonnegative, and the right-hand side is 0/1, so phase 1
+    # starts feasible on m artificials n..n+m-1, whose identity columns are
+    # not stored: ``artificial`` marks the rows where one is basic, and phase
+    # 1 prices the real columns only.  That equals pricing every column while
+    # Bland picks no artificial to re-enter, as on every LP tried (A, K <= 40).
     # Bland's rule runs throughout (entering: lowest eligible column index;
     # leaving: lowest basic-variable index among the minimum-ratio rows), so
     # the pivot sequence is fully deterministic.
@@ -145,27 +152,25 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
     n = z + m
     # One augmented array: the tableau, then the right-hand side as its last
     # column, so a pivot is one row division and one rank-1 update.
-    aug = np.zeros((m, n + m + 1))
+    aug = np.zeros((m, n + 1))
+    buf = np.empty_like(aug)
     tab = aug[:, :-1]
     tab[:-1, :z] = d[:, h, opponents].T
     tab[:-1, z] = -1.0
-    tab[:-1, z + 1:n] = -np.eye(m - 1)
+    tab[:-1, z + 1:] = -np.eye(m - 1)
     tab[-1, :z] = 1.0
-    tab[:, n:] = np.eye(m)
     aug[-1, -1] = 1.0
-    constraints = tab[:, :n].copy()
+    constraints = tab.copy()
     basis = list(range(n, n + m))
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    # phase1_cost[basis], kept up to date at each pivot.
-    basis_cost = np.ones(m)
+    artificial = np.ones(m)
 
     def phase1_price(pivot):
         if pivot:
-            basis_cost[pivot[0]] = phase1_cost[pivot[1]]
-        return phase1_cost - basis_cost @ tab
+            artificial[pivot[0]] = 0.0
+        return -(artificial @ tab)
 
-    _bland_iterate(aug, basis, phase1_price)
-    if float(basis_cost @ aug[:, -1]) > 1e-7:
+    _bland_iterate(aug, basis, phase1_price, buf)
+    if float(artificial @ aug[:, -1]) > 1e-7:
         raise OracleError("max-min program reported infeasible (solver bug)")
 
     # Drive leftover artificials out of the basis.  No row is ever redundant:
@@ -176,19 +181,15 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
     # is not basic after a feasible phase 1, since its row would hold 1.
     for i in range(m):
         if basis[i] >= n:
-            cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
-            _pivot(aug, basis, i, int(cols[0]))
+            cols = (np.abs(tab[i]) > PIVOT_TOL).nonzero()[0]
+            _pivot(aug, basis, i, int(cols[0]), buf)
 
-    # The artificial columns have left the basis for good: phase 2 runs on
-    # the first n columns and the right-hand side only.
-    aug = aug[:, [*range(n), n + m]]
-    tab = aug[:, :-1]
     cost = np.zeros(n)
     cost[z] = -1.0
     # The cost's one nonzero is -1 on z, so cost[basis] @ tab is minus the row
     # where z is basic, or zero while z is non-basic: pricing reads that row.
     _bland_iterate(aug, basis,
-                   lambda pivot: cost + tab[basis.index(z)] if z in basis else cost)
+                   lambda pivot: cost + tab[basis.index(z)] if z in basis else cost, buf)
 
     x = np.zeros(n)
     x[basis] = aug[:, -1]
@@ -202,13 +203,12 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
     return tuple(float(v) for v in w), tuple(np.maximum(y[:-1], 0.0).tolist())
 
 
-def _bland_iterate(aug, basis, price):
+def _bland_iterate(aug, basis, price, buf):
     """Pivot by Bland's rule on the augmented tableau ``aug`` until
     ``price(pivot)``, the reduced-cost row of the current basis, has no
     improving entry; ``pivot`` is the last (row, column) pivoted on, or None
-    before the first."""
+    before the first.  ``buf`` is the pivots' work buffer."""
     rhs = aug[:, -1]
-    buf = np.empty_like(aug)
     pivot = None
     for _ in range(10_000):
         reduced = price(pivot)
@@ -239,10 +239,9 @@ def _bland_iterate(aug, basis, price):
     raise OracleError("simplex failed to converge")
 
 
-def _pivot(aug, basis, row, col, buf=None):
+def _pivot(aug, basis, row, col, buf):
     """Gauss-Jordan pivot on (row, col) of the augmented tableau as one
-    rank-1 update, its product written into ``buf`` when given (an array
-    shaped like ``aug``) rather than a fresh one."""
+    rank-1 update, its product written into ``buf``, shaped like ``aug``."""
     aug[row] /= aug[row, col]
     factor = aug[:, col].copy()
     factor[row] = 0.0

@@ -314,9 +314,11 @@ def clopper_pearson_upper(failures, trials, confidence=0.95):
     return hi
 
 
+K2_BREACH = {"name": "k2-breach", "sigma": 0.163, "means": [[0.3926, 0.2474], [0.4366, 0.4197]]}
+
+
 def test_default_threshold_is_delta_pac_at_k2():
-    env = load_environment({"name": "k2-breach", "sigma": 0.163,
-                            "means": [[0.3926, 0.2474], [0.4366, 0.4197]]})
+    env = load_environment(K2_BREACH)
     delta, trials = 0.1, 4000
     cfg = PolicyConfig(kind="TaS", delta=delta, max_steps=20_000)
     results = run_trials(env, 0, [cfg] * trials, range(20_000, 20_000 + trials))
@@ -340,3 +342,37 @@ def test_default_threshold_is_delta_pac_at_k3():
     print(f"[delta-PAC at K = 3] {failures} of {trials} failed, "
           f"Clopper-Pearson upper bound {upper:.4f} against delta = {delta}")
     assert upper <= delta
+
+
+def _proven(env, kind, delta, alpha=1.0):
+    """The threshold pair b = 0, c = log(K - 1), which Ville's inequality
+    proves delta-correct (README, Thresholds)."""
+    return PolicyConfig(kind=kind, delta=delta, alpha=alpha, b=0.0,
+                        c=math.log(env.num_hypotheses - 1), max_steps=20_000)
+
+
+@pytest.mark.parametrize("source", [K2_BREACH, "skewed"], ids=["k2-breach", "skewed"])
+def test_proven_threshold_is_delta_pac(source):
+    env = load_environment(source)
+    delta, trials = 0.1, 4000
+    results = run_trials(env, 0, [_proven(env, "TaS", delta)] * trials,
+                         range(30_000, 30_000 + trials))
+    failures = sum(1 for r in results if r.timed_out or not r.correct)
+    upper = clopper_pearson_upper(failures, trials)
+    print(f"[proven threshold, {env.name}] {failures} of {trials} failed, "
+          f"Clopper-Pearson upper bound {upper:.4f} against delta = {delta}")
+    assert upper <= delta
+
+
+def test_proven_threshold_bounds_elimination_errors_by_delta_to_alpha():
+    # Eliminating at alpha log(1/delta) + log(K - 1) bounds the error
+    # probability by delta**alpha, by the same union over opponents.
+    env = load_environment("skewed")
+    delta, alpha, trials = 0.01, 0.4, 2000
+    results = run_trials(env, 0, [_proven(env, "FullElim", delta, alpha)] * trials,
+                         range(34_000, 34_000 + trials))
+    failures = sum(1 for r in results if r.timed_out or not r.correct)
+    upper = clopper_pearson_upper(failures, trials)
+    print(f"[proven threshold, FullElim, alpha = {alpha}] {failures} of {trials} failed, "
+          f"Clopper-Pearson upper bound {upper:.4f} against delta**alpha = {delta**alpha:.4f}")
+    assert upper <= delta**alpha

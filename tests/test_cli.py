@@ -77,6 +77,22 @@ class TestExitCodes:
             "--policies", "TaS", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("command", [
+        ["exp1", "--trials", "200"],
+        ["diagnose"],
+    ])
+    def test_missing_output_directory_fails_before_any_trial(self, capsys, tmp_path,
+                                                             monkeypatch, command):
+        calls = []
+        for module in ("activeht.engine", "activeht.harness"):
+            monkeypatch.setattr(f"{module}.run_trials", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, [*command, "--env", "skewed", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert f"[Errno 2] No such file or directory: {str(out)!r}" in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
 
 # Every subcommand's flags: option -> (default, required, type name, choices).
 _ENV = {"--env": (None, True, None, None)}
@@ -160,7 +176,7 @@ class TestValidationRules:
     @pytest.mark.parametrize("argv, field", [
         (["trial", "--policy", "TaS", "--delta", "1.5"], "delta"),
         (["trial", "--policy", "TaS", "--delta", "0.1", "--alpha", "0"], "alpha"),
-        (["trial", "--policy", "TaS", "--delta", "0.1", "--b", "0"], "slope b"),
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--b", "-1"], "slope b"),
         (["trial", "--policy", "TaS", "--delta", "0.1", "--max-steps", "0"], "max_steps"),
         (["trial", "--policy", "TaS", "--delta", "0.1", "--true-h", "-1"], "true hypothesis"),
         (["exp1", "--trials", "0"], "trials"),

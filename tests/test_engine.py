@@ -38,7 +38,7 @@ class TestPolicyConfig:
         {"kind": "TaS", "delta": 1.0},
         {"kind": "TaS", "delta": 0.1, "alpha": 0.0},
         {"kind": "TaS", "delta": 0.1, "alpha": 1.2},
-        {"kind": "TaS", "delta": 0.1, "b": 0.0},
+        {"kind": "TaS", "delta": 0.1, "b": -1.0},
         {"kind": "TaS", "delta": 0.1, "max_steps": 0},
         {"kind": "TaS", "delta": 0.1, "b": math.inf},
         {"kind": "TaS", "delta": 0.1, "b": math.nan},
@@ -76,6 +76,14 @@ class TestThresholds:
         assert beta_stop == pytest.approx(12.8992, abs=5e-5)
         assert beta_elim == pytest.approx(11.7479, abs=5e-5)
         assert beta_elim < beta_stop
+
+    def test_proven_pair_is_the_same_at_every_step(self):
+        # b = 0, c = log(K - 1): beta_stop = log((K - 1)/delta) for K = 5.
+        cfg = PolicyConfig(kind="FullElim", delta=0.01, alpha=0.4, b=0.0, c=math.log(4))
+        first = thresholds(1, cfg)
+        assert first == pytest.approx((math.log(400), 0.4 * math.log(100) + math.log(4)))
+        for t in (2, 3, 10, 1000, 20_000, 10**6, 2**40):
+            assert thresholds(t, cfg) == first
 
     def test_requires_positive_step_and_resolved_offset(self):
         cfg = PolicyConfig(kind="FullElim", delta=0.1, b=2.0, c=1.0)

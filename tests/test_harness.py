@@ -109,7 +109,7 @@ class TestConfigValidation:
         {"alphas": (0.0,)},
         {"policies": ("TaS", "Nope")},
         {"workers": 0},
-        {"b": 0},
+        {"b": -1},
         {"max_steps": 0},
         {"policies": ("TaS", "TaS")},
         {"deltas": (0.1, 0.1)},

@@ -267,6 +267,42 @@ class TestPinnedLargeInstances:
         assert achieved == pytest.approx(sol.rate, abs=RATE_TOL)
 
 
+# SHA-256 over repr(oracle_allocation(...)), or the raised error's class
+# name, for every candidate of the random family below.  Any change to the
+# simplex's pivot path, its tolerances or its certificate shows here.
+PINNED_FAMILY_SHA256 = "8adab7e70206569a7114da8c120cdbebd8daf6776cf4c7d04039481a60db82b3"
+
+
+class TestPinnedRandomFamily:
+    """A from 1 to 20, K from 2 to 20, sigma = 10^U(-3, 2), and in every
+    third environment a pair within 1e-7 of each other in half the actions
+    (or in none, so the pair coincides)."""
+
+    def test_solutions_and_errors_match_pinned_digest(self):
+        rng = np.random.default_rng(BASE_SEED + 9)
+        digest = hashlib.sha256()
+        for i in range(60):
+            num_actions = int(rng.integers(1, 21))
+            num_hypotheses = int(rng.integers(2, 21))
+            sigma = float(10.0 ** rng.uniform(-3, 2))
+            means = rng.uniform(0, 1, size=(num_actions, num_hypotheses))
+            if i % 3 == 0:
+                g, h = rng.choice(num_hypotheses, size=2, replace=False)
+                means[:, g] = means[:, h] + (rng.normal(0, 1e-7, size=num_actions)
+                                             * (rng.random(num_actions) < 0.5))
+            env = Environment(name="rand", means=tuple(map(tuple, means.tolist())), sigma=sigma)
+            for h in range(num_hypotheses):
+                others = [g for g in range(num_hypotheses) if g != h]
+                size = int(rng.integers(1, len(others) + 1))
+                S = rng.choice(others, size=size, replace=False).tolist()
+                try:
+                    out = repr(oracle_allocation(env, h, S))
+                except OracleError as exc:
+                    out = type(exc).__name__
+                digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == PINNED_FAMILY_SHA256
+
+
 class TestStructuralProperties:
     def test_set_monotonicity_on_nested_random_pairs(self):
         rng = np.random.default_rng(BASE_SEED + 3)
