@@ -134,10 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out_dir(out: str) -> None:
     """Raise the error that writing ``out`` would raise on a missing
-    directory, before the run spends its time; a file already at ``out``
-    stays untouched until the run succeeds."""
+    directory or on a directory at ``out``, before the run spends its time;
+    a file already at ``out`` stays untouched until the run succeeds."""
     if not Path(out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _write_manifest(command: str, out: str, config: dict) -> None:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from math import nan, sqrt
 from pathlib import Path
@@ -149,38 +147,18 @@ def aggregate(results, *, environment: str = "", policy: str = "",
     )
 
 
-# Per-process state: the environment and the allocation cache are built once
-# per sweep in each process that runs trials (the sweep's own when serial,
-# each pool worker's otherwise), not once per trial.  So one process runs one
-# sweep at a time.
-_PROCESS_ENV: Environment | None = None
-_PROCESS_CACHE: OracleCache | None = None
-
-
-def _init_process(env: Environment) -> None:
-    global _PROCESS_ENV, _PROCESS_CACHE
-    _PROCESS_ENV = env
-    _PROCESS_CACHE = OracleCache(env)
-
-
-def _run_batch(job: tuple[int, list[PolicyConfig], list[int]]) -> list[TrialResult]:
-    """Run one batch of trials in lockstep, in the calling process."""
-    true_h, cfgs, seeds = job
-    return run_trials(_PROCESS_ENV, true_h, cfgs, seeds, cache=_PROCESS_CACHE)
-
-
-@contextmanager
-def _batch_map(env: Environment, workers: int):
-    """Yield a map of ``_run_batch`` over jobs: in-process, or on a pool.
+def _run_batches(jobs, workers: int) -> list[list[TrialResult]]:
+    """``run_trials(*job)`` of each ``(env, true_h, cfgs, seeds)`` job, in
+    job order: in this process on one oracle cache, or on a pool of
+    ``workers`` processes, where each batch builds its own.
 
     The pool forks where the platform can, so workers start without
     re-importing the package; elsewhere it uses the platform default, the
     first method ``get_all_start_methods`` lists.
     """
     if workers == 1:
-        _init_process(env)
-        yield map
-        return
+        cache = OracleCache(jobs[0][0])
+        return [run_trials(*job, cache=cache) for job in jobs]
     # Imported here, where a pool opens: multiprocessing pulls in its pool,
     # socket and selector modules, about 9 ms and 0.4 MB that a serial sweep
     # never uses.
@@ -188,8 +166,8 @@ def _batch_map(env: Environment, workers: int):
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    with ctx.Pool(workers, initializer=_init_process, initargs=(env,)) as pool:
-        yield partial(pool.map, chunksize=1)
+    with ctx.Pool(workers) as pool:
+        return pool.starmap(run_trials, jobs, chunksize=1)
 
 
 def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
@@ -209,10 +187,9 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     n = len(seeds)
     batches = max(ecfg.workers, -(-n // ROW_CAP))
     bounds = [n * j // batches for j in range(batches + 1)]
-    jobs = [(ecfg.true_h, cfgs[lo:hi], seeds[lo:hi])
+    jobs = [(env, ecfg.true_h, cfgs[lo:hi], seeds[lo:hi])
             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    with _batch_map(env, min(ecfg.workers, len(jobs))) as batch_map:
-        results = [r for part in batch_map(_run_batch, jobs) for r in part]
+    results = [r for part in _run_batches(jobs, min(ecfg.workers, len(jobs))) for r in part]
     rows = [aggregate(results[j * ecfg.trials:(j + 1) * ecfg.trials], environment=env.name,
                       policy=kind, delta=delta, alpha=alpha)
             for j, (kind, delta, alpha) in enumerate(cells)]
@@ -222,8 +199,8 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-# perfbench/layers.py imports this name; ROADMAP item 5 step 1 drops it when
-# that script is re-aimed at run_trials and run_sweep.
+# perfbench/layers.py imports this name; ROADMAP item 6 drops it when that
+# script is re-aimed at run_trials and run_sweep.
 run_delta_sweep = run_sweep
 
 

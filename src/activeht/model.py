@@ -74,6 +74,11 @@ class Environment:
         if not np.isfinite(self.kl_table).all():
             raise MalformedDocumentError("means gaps overflow the divergence table")
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so a copy sent to a pool worker carries no
+        # cached table and builds its own read-only ones.
+        return Environment, (self.name, self.means, self.sigma)
+
     @property
     def num_actions(self) -> int:
         return len(self.means)

@@ -194,12 +194,18 @@ def _solve_maxmin(env: Environment, h: int, opponents: list[int]):
     x = np.zeros(n)
     x[basis] = aug[:, -1]
     w = np.clip(x[:num_actions], 0.0, None)
-    w /= w.sum()
+    total = w.sum()
+    if not total > 0.0:
+        raise OracleError("max-min program left every action weight at 0 (solver bug)")
+    w /= total
     # The dual of the final basis: y with B^T y = cost[basis], B being the
     # basic columns of the original constraints.  Its opponent entries are
     # the weights lambda, with max_a sum_g lambda_g d_a(h, g) = rate by LP
     # duality; those of basic slacks are 0 up to rounding, clipped like w.
-    y = np.linalg.solve(constraints[:, basis].T, cost[basis])
+    try:
+        y = np.linalg.solve(constraints[:, basis].T, cost[basis])
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"max-min program ended on a singular basis: {exc}") from None
     return tuple(float(v) for v in w), tuple(np.maximum(y[:-1], 0.0).tolist())
 
 

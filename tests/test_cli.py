@@ -79,19 +79,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["exp1", "--trials", "200"],
+        ["exp2", "--trials", "200"],
         ["diagnose"],
     ])
-    def test_missing_output_directory_fails_before_any_trial(self, capsys, tmp_path,
-                                                             monkeypatch, command):
+    @pytest.mark.parametrize("target, message", [
+        ("missing/x.csv", "[Errno 2] No such file or directory"),
+        ("dir", "[Errno 21] Is a directory"),
+    ])
+    def test_bad_output_path_fails_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                    command, target, message):
         calls = []
         for module in ("activeht.engine", "activeht.harness"):
             monkeypatch.setattr(f"{module}.run_trials", lambda *args, **kwargs: calls.append(args))
-        out = tmp_path / "missing" / "x.csv"
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / target
         code, _, err = run_cli(capsys, [*command, "--env", "skewed", "--out", str(out)])
         assert code == EXIT_RUNTIME
-        assert f"[Errno 2] No such file or directory: {str(out)!r}" in err
+        assert f"{message}: {str(out)!r}" in err
         assert calls == []
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
 
 
 # Every subcommand's flags: option -> (default, required, type name, choices).

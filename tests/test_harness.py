@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +233,7 @@ class TestSweeps:
 
     def test_spawn_pool_matches_serial(self, monkeypatch):
         # A platform without fork: the pool falls back to the first listed
-        # method, and spawned workers rebuild their state from initargs.
+        # method, and spawned workers rebuild each job's environment.
         used = []
         get_context = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -300,19 +299,15 @@ class TestBlasThreads:
 
 @pytest.fixture
 def batch_calls(monkeypatch):
-    """(pool size, batch sizes) of each sweep's ``_batch_map`` call."""
+    """(pool size, batch sizes) of each sweep's ``_run_batches`` call."""
     calls = []
-    batch_map = harness._batch_map
+    run_batches = harness._run_batches
 
-    @contextmanager
-    def recording_map(env, workers):
-        with batch_map(env, workers) as run:
-            def record(fn, jobs):
-                calls.append((workers, [len(cfgs) for _, cfgs, _ in jobs]))
-                return run(fn, jobs)
-            yield record
+    def recording_run(jobs, workers):
+        calls.append((workers, [len(cfgs) for _, _, cfgs, _ in jobs]))
+        return run_batches(jobs, workers)
 
-    monkeypatch.setattr(harness, "_batch_map", recording_map)
+    monkeypatch.setattr(harness, "_run_batches", recording_run)
     return calls
 
 
@@ -348,6 +343,21 @@ class TestRowCap:
                 csvs.append(out.read_bytes())
             assert csvs[0] == csvs[1]
         assert batch_calls == [(1, [1]), (1, [1]), (1, [2]), (2, [1, 1])]
+
+    def test_a_pool_worker_runs_two_batches(self, batch_calls, tmp_path):
+        # Three batches on two workers: one worker runs two of them, each on
+        # the oracle cache its own run_trials call builds.  One trial more per
+        # cell than two ROW_CAPs of trials spread over the 8 cells.
+        trials = 2 * harness.ROW_CAP // 8 + 1
+        csvs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            run_sweep(ExperimentConfig(
+                environment="skewed", deltas=(0.3, 0.1), trials=trials,
+                base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert [(workers, len(batch)) for workers, batch in batch_calls] == [(1, 3), (2, 3)]
 
 
 def _recorded_trial(env, seed):

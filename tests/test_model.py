@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -164,3 +165,15 @@ def test_environment_is_immutable(skewed):
     with pytest.raises(Exception):
         skewed.sigma = 2.0
     assert not skewed.means_array.flags.writeable
+
+
+def test_pickled_environment_keeps_read_only_tables(skewed):
+    # Sweep jobs pickle their environment for pool workers; a copy is
+    # rebuilt from its fields, so no table comes back writable.
+    names = ("means_array", "kl_table", "max_divergence", "best_action")
+    tables = {name: getattr(skewed, name) for name in names}
+    back = pickle.loads(pickle.dumps(skewed))
+    assert back == skewed
+    for name, table in tables.items():
+        assert np.array_equal(getattr(back, name), table)
+        assert not getattr(back, name).flags.writeable, name

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 
@@ -190,7 +191,7 @@ class TestOracleAllocation:
             OracleCache(env).target(0, [1, 2])
 
     @pytest.mark.xfail(strict=True, raises=OracleError, reason=(
-        "the absolute pivot tolerance misjudges divergences near 1e-5; ROADMAP item 6 "
+        "the absolute pivot tolerance misjudges divergences near 1e-5; ROADMAP item 7 "
         "scales the LP by a power of two"))
     def test_large_sigma_twin_certifies(self):
         # At sigma = 1 this instance certifies with rate 0.0017715456674473038
@@ -204,6 +205,42 @@ class TestOracleAllocation:
         assert sol.allocation.weights == pytest.approx(
             (0.015807962529273967, 0.984192037470726), abs=1e-9)
         assert sol.rate == pytest.approx(1e-4 * 0.0017715456674473038, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [
+        pytest.param(1, marks=pytest.mark.xfail(strict=True, raises=OracleError, reason=(
+            "the absolute pivot tolerance misjudges divergences near 4e5; ROADMAP item 7 "
+            "scales the LP by a power of two"))),
+        2, 16, 1024])
+    def test_small_sigma_instance_certifies(self, scale):
+        # An identifiable 3 x 10 document whose twins at sigma * 2**k, k = 1
+        # to 11, all certify with weights (7/68, 1/17, 57/68).  At scale 1
+        # the largest divergence is 4.2e5, and the solver stops 1.0e4 below
+        # its dual bound and raises.
+        env = load_environment({"name": "q", "sigma": 0.0010891174615522959 * scale, "means": [
+            [0.25, 0.5, 0.5, 0.0, 0.25, 0.75, 0.25, 0.0, 0.5, 1.0],
+            [0.25, 1.0, 0.5, 0.75, 0.5, 0.75, 0.0, 0.0, 0.0, 0.75],
+            [0.5, 0.75, 0.0, 0.75, 0.25, 1.0, 0.5, 0.0, 0.75, 0.5]]})
+        sol = certified_allocation(env, 8, [0, 1, 2, 3, 4, 5, 6, 7, 9])
+        assert sol.allocation.weights == pytest.approx((7 / 68, 1 / 17, 57 / 68), abs=1e-12)
+
+    def test_singular_final_basis_raises_an_oracle_error(self):
+        # Phase 2 ends on a basis whose dual solve is singular; numpy's
+        # LinAlgError must not escape.  Once the LP solves, it must certify.
+        # Each digit is a mean in quarters.
+        rows = ["1343102111344142324133010430410121",
+                "2222331302323124001303233432123111",
+                "3234102112311422241024211330432220",
+                "3202241421213324132332122132203032",
+                "2434144122441411021130222340440330",
+                "3113112314103041221103141343102231"]
+        env = Environment(name="singular", means=tuple(tuple(int(c) / 4 for c in row)
+                                                        for row in rows),
+                          sigma=0.0026017509786058547)
+        others = [g for g in range(34) if g != 6]
+        for solve in (lambda: certified_allocation(env, 6, others),
+                      lambda: OracleCache(env).target(6, others)):
+            with contextlib.suppress(OracleError):
+                solve()
 
     def test_random_instances_up_to_40_actions(self):
         """K != A, any candidate, and in a third of the instances an
