@@ -18,23 +18,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .engine import (
-    DEFAULT_B,
-    DEFAULT_C_OFFSET,
-    POLICY_KINDS,
-    PolicyConfig,
-    resolve_config,
-    run_trial,
-)
-from .harness import (
-    ALPHA_GRID,
-    DELTA_GRID,
-    ExperimentConfig,
-    run_sweep,
-    summary_to_csv,
-)
+from .defaults import ALPHA_GRID, DEFAULT_B, DEFAULT_C_OFFSET, DELTA_GRID, POLICY_KINDS
 from .model import PRESET_NAMES, load_environment
-from .oracle import oracle_allocation
+
+# Each command imports the engine, the oracle or the sweep driver only when it
+# runs, so `env` loads none of them and `solve-oracle` only the oracle.
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -162,6 +150,8 @@ def _cmd_env(args) -> int:
 
 
 def _cmd_solve_oracle(args) -> int:
+    from .oracle import oracle_allocation
+
     env = load_environment(args.env)
     sol = oracle_allocation(env, args.h, args.opponents)
     doc = {
@@ -175,12 +165,16 @@ def _cmd_solve_oracle(args) -> int:
     return EXIT_OK
 
 
-def _policy_config(args, kind: str) -> PolicyConfig:
+def _policy_config(args, kind: str):
+    from .engine import PolicyConfig
+
     return PolicyConfig(kind=kind, delta=args.delta, alpha=args.alpha,
                         b=args.b, c=args.c, max_steps=args.max_steps)
 
 
 def _cmd_trial(args) -> int:
+    from .engine import run_trial
+
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     result = run_trial(env, args.true_h, cfg, args.seed)
@@ -199,6 +193,9 @@ def _cmd_trial(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """exp1 and exp2 differ only in the grids they build."""
+    from .engine import resolve_config
+    from .harness import ExperimentConfig, run_sweep, summary_to_csv
+
     if args.command == "exp1":
         grids = dict(policies=tuple(p for p in args.policies.split(",") if p),
                      deltas=tuple(args.deltas), alphas=(1.0,))
@@ -220,6 +217,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .engine import resolve_config, run_trial
+
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     _check_out_dir(args.out)

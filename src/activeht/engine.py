@@ -88,18 +88,9 @@ from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
+from .defaults import DEFAULT_B, DEFAULT_C_OFFSET, POLICY_KINDS
 from .model import Environment
 from .oracle import OracleCache
-
-POLICY_KINDS = ("Greedy", "TaS", "StopElim", "FullElim")
-
-# Threshold shape: beta(t) = (alpha *) log(1/delta) + b*log(t) + c.  The slope
-# b and offset c trade identification speed against the rate of early false
-# eliminations; these defaults are calibrated on the built-in environments
-# (see tests) and can be overridden per run.  c defaults to the union-bound
-# offset log(K - 1), raised to log 4 for K <= 4, plus a calibrated shift.
-DEFAULT_B = 0.8
-DEFAULT_C_OFFSET = -1.7863
 
 _RNG_BLOCK = 512
 # Finished rows of a lockstep batch are compacted out once they are this share
@@ -462,10 +453,11 @@ def run_trials(
     the threshold shape (b, c) and max_steps, so the step count is shared.
     Result i is the same however the trials are batched (see the module
     docstring).  The batch looks its tracking targets up by opponent-set id
-    and solves each set through ``cache`` the first time a running trial
-    tracks it.  Diagnostics are recorded for a batch of one trial only, one
-    step at a time; an unrecorded batch of at most ``_RUN_AHEAD_CELLS``
-    log-likelihoods, of any kinds, runs ahead in blocks of steps.
+    and solves each set through ``cache``, which must be built for ``env``,
+    the first time a running trial tracks it.  Diagnostics are recorded for
+    a batch of one trial only, one step at a time; an unrecorded batch of at
+    most ``_RUN_AHEAD_CELLS`` log-likelihoods, of any kinds, runs ahead in
+    blocks of steps.
     """
     # operator.index rejects seed 1.7 or "7" instead of truncating or parsing.
     true_h = operator.index(true_h)
@@ -489,6 +481,9 @@ def run_trials(
         raise ValueError("diagnostics are recorded for one trial at a time")
     if cache is None:
         cache = OracleCache(env)
+    elif cache.env is not env and cache.env != env:
+        raise ValueError(f"the oracle cache was built for another environment "
+                         f"({cache.env.name!r}), not for {env.name!r}")
 
     first = cfgs[0]
     b, c, max_steps = first.b, first.c, first.max_steps

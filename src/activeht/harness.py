@@ -16,19 +16,10 @@ from itertools import product
 from math import nan, sqrt
 from pathlib import Path
 
-from .engine import (
-    DEFAULT_B,
-    POLICY_KINDS,
-    PolicyConfig,
-    TrialResult,
-    _integer_field,
-    run_trials,
-)
+from .defaults import ALPHA_GRID, DEFAULT_B, DELTA_GRID, POLICY_KINDS
+from .engine import PolicyConfig, TrialResult, _integer_field, run_trials
 from .model import Environment, load_environment
 from .oracle import OracleCache
-
-DELTA_GRID = (0.1, 0.05, 0.01, 0.005, 0.001)
-ALPHA_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 # Most rows in one lockstep batch.  A row holds about 6 KB (its 512-draw
 # noise block and its generator), while a batch-step costs nearly the same at

@@ -9,7 +9,6 @@ pairwise divergences, allocation oracles) is determined by this matrix.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 from dataclasses import dataclass
@@ -126,6 +125,9 @@ class Environment:
         Identifies the exact instance a run used, also when it came from a
         file that changes later.
         """
+        # Imported here: numpy does not load it, and only sweeps ask.
+        import hashlib
+
         doc = {"name": self.name, "sigma": float(self.sigma),
                "means": [[float(x) for x in row] for row in self.means]}
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

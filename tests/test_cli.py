@@ -261,6 +261,29 @@ class TestSolveOracle:
         assert code == EXIT_VALIDATION
 
 
+class TestLightCommands:
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["env", "--env", "skewed"], ("activeht.engine", "activeht.harness", "activeht.oracle")),
+        (["solve-oracle", "--env", "skewed", "--h", "0", "--opponents", "1,2"],
+         ("activeht.engine", "activeht.harness")),
+    ])
+    def test_command_loads_only_the_modules_it_runs(self, argv, unloaded):
+        # Checked in a fresh interpreter, since this one has loaded every module.
+        code = ("import json, sys\n"
+                "from activeht.cli import main\n"
+                f"sys.argv = ['activeht', *{argv!r}]\n"
+                "try:\n"
+                "    main()\n"
+                "finally:\n"
+                "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+        done = run_fresh_python(code)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert isinstance(json.loads(done.stdout), dict)
+        loaded = set(json.loads(done.stderr))
+        assert "activeht.model" in loaded
+        assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+
+
 class TestTrial:
     def test_single_trial_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -557,6 +557,17 @@ class TestLockstep:
         with pytest.raises(IndexError):
             run_trials(skewed, 5, [tas], [1])
 
+    def test_cache_of_another_environment_rejected(self, skewed, hard_weak):
+        # Its targets would be hard-weak's allocations, silently tracked on skewed.
+        tas = PolicyConfig(kind="TaS", delta=0.1)
+        with pytest.raises(ValueError, match="another environment"):
+            run_trials(skewed, 0, [tas], [1], cache=OracleCache(hard_weak))
+        # An equal environment built separately shares the cache's answers.
+        twin = load_environment("skewed")
+        assert twin is not skewed
+        assert (run_trials(twin, 0, [tas], [1], cache=OracleCache(skewed))
+                == run_trials(skewed, 0, [tas], [1]))
+
 
 class TestRunAhead:
     """A small batch of any kinds advances in blocks of steps (see the engine

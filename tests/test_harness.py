@@ -283,7 +283,11 @@ class TestBlasThreads:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count threads")
     def test_import_starts_no_blas_worker_thread(self):
-        done = run_fresh_python("import os, activeht\n"
+        # The package loads numpy only with the module that needs it, so the
+        # check asks for a name that loads it.
+        done = run_fresh_python("import os, sys\n"
+                                "from activeht import run_trials\n"
+                                "assert 'numpy' in sys.modules\n"
                                 "print(len(os.listdir('/proc/self/task')))\n",
                                 OPENBLAS_NUM_THREADS=None)
         assert done.returncode == 0, done.stderr
