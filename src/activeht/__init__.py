@@ -40,22 +40,22 @@ _EXPORTS = {
     "PolicyConfig": "engine",
     "SummaryRow": "harness",
     "TrialResult": "engine",
-    "TrialState": "engine",
+    "TrialState": "reference",
     "aggregate": "harness",
-    "ctrack_select": "engine",
-    "eliminate": "engine",
-    "greedy_select": "engine",
+    "ctrack_select": "reference",
+    "eliminate": "reference",
+    "greedy_select": "reference",
     "load_environment": "model",
-    "new_trial_state": "engine",
+    "new_trial_state": "reference",
     "oracle_allocation": "oracle",
-    "run_delta_sweep": "harness",
+    "run_delta_sweep": "reference",
     "run_sweep": "harness",
     "run_trial": "engine",
     "run_trials": "engine",
     "summary_to_csv": "harness",
     "thresholds": "engine",
     "trial_seed": "harness",
-    "update_likelihoods": "engine",
+    "update_likelihoods": "reference",
     "worst_case_rate": "oracle",
 }
 

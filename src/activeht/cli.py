@@ -222,6 +222,10 @@ def _cmd_diagnose(args) -> int:
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     _check_out_dir(args.out)
+    # A file at or above --plot-dir would fail the panels' mkdir after the trial.
+    for p in [Path(args.plot_dir), *Path(args.plot_dir).parents] if args.plot_dir else ():
+        if p.exists() and not p.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(p))
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
     _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,

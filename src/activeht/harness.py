@@ -190,11 +190,6 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-# perfbench/layers.py imports this name; ROADMAP item 6 drops it when that
-# script is re-aimed at run_trials and run_sweep.
-run_delta_sweep = run_sweep
-
-
 def summary_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:

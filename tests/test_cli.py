@@ -13,7 +13,7 @@ from activeht.cli import (
     build_parser,
     dispatch,
 )
-from activeht import PolicyConfig, load_environment
+from activeht import PolicyConfig, engine, load_environment
 from activeht.engine import DEFAULT_C_OFFSET, resolve_config
 
 from conftest import BASE_SEED, run_fresh_python
@@ -98,6 +98,22 @@ class TestExitCodes:
         assert f"{message}: {str(out)!r}" in err
         assert calls == []
         assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
+
+    @pytest.mark.parametrize("plot_dir", ["afile", "afile/sub"])
+    def test_plot_dir_at_a_file_fails_before_the_trial(self, capsys, tmp_path, monkeypatch,
+                                                       plot_dir):
+        # The panels' mkdir would fail only once the trial and its trace
+        # were done.
+        calls = []
+        monkeypatch.setattr("activeht.engine.run_trials", lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "afile").write_text("")
+        code, _, err = run_cli(capsys, [
+            "diagnose", "--env", "skewed", "--seed", "7", "--out", str(tmp_path / "trace.json"),
+            "--plot-dir", str(tmp_path / plot_dir)])
+        assert code == EXIT_RUNTIME
+        assert f"[Errno 17] File exists: {str(tmp_path / 'afile')!r}" in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
 
 
 # Every subcommand's flags: option -> (default, required, type name, choices).
@@ -268,20 +284,42 @@ class TestLightCommands:
          ("activeht.engine", "activeht.harness")),
     ])
     def test_command_loads_only_the_modules_it_runs(self, argv, unloaded):
-        # Checked in a fresh interpreter, since this one has loaded every module.
-        code = ("import json, sys\n"
-                "from activeht.cli import main\n"
-                f"sys.argv = ['activeht', *{argv!r}]\n"
-                "try:\n"
-                "    main()\n"
-                "finally:\n"
-                "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
-        done = run_fresh_python(code)
-        assert done.returncode == EXIT_OK, done.stderr
+        done, loaded = _run_fresh_cli(argv)
         assert isinstance(json.loads(done.stdout), dict)
-        loaded = set(json.loads(done.stderr))
         assert "activeht.model" in loaded
         assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+
+    @pytest.mark.parametrize("argv", [
+        ["trial", "--policy", "FullElim", "--delta", "0.1"],
+        ["diagnose", "--out", "trace.json"],
+        ["exp1", "--trials", "2", "--out", "exp1.csv"],
+        ["exp2", "--trials", "2", "--workers", "2", "--out", "exp2.csv"],
+    ])
+    def test_trial_commands_leave_the_reference_unloaded(self, tmp_path, argv):
+        # The single-trial reference is for the benchmark's traced run and
+        # the tests; the engine keeps none of it.
+        command, *flags = argv
+        flags = [str(tmp_path / f) if f.endswith((".json", ".csv")) else f for f in flags]
+        _, loaded = _run_fresh_cli([command, "--env", "skewed", *flags])
+        assert "activeht.engine" in loaded
+        assert "activeht.reference" not in loaded
+        assert not hasattr(engine, "new_trial_state")
+
+
+def _run_fresh_cli(argv):
+    """Run ``activeht *argv`` in a fresh interpreter, since this one has
+    loaded every module; return the finished process and the modules the
+    command loaded."""
+    code = ("import json, sys\n"
+            "from activeht.cli import main\n"
+            f"sys.argv = ['activeht', *{argv!r}]\n"
+            "try:\n"
+            "    main()\n"
+            "finally:\n"
+            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    done = run_fresh_python(code)
+    assert done.returncode == EXIT_OK, done.stderr
+    return done, set(json.loads(done.stderr.splitlines()[-1]))
 
 
 class TestTrial:

@@ -20,7 +20,8 @@ from activeht import (
     thresholds,
     update_likelihoods,
 )
-from activeht.engine import _SetTable, _floor_projection, _track_ahead, resolve_config
+from activeht.engine import _SetTable, _track_ahead, resolve_config
+from activeht.reference import _floor_projection
 
 from conftest import BASE_SEED
 
@@ -475,17 +476,21 @@ class TestLockstep:
             alone = [run_trial(hard_weak, 1, cfg, s) for cfg, s in zip(cfgs, seeds)]
             assert whole == split == alone
 
-    def test_recorded_trial_asks_the_cache_once_per_set_change(self, degenerate):
-        # A capped Greedy trial keeps a few (champion, set) keys for
-        # thousands of rounds, and its oracle rate changes only with the key.
-        cfg = PolicyConfig(kind="Greedy", delta=0.1, max_steps=2000)
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_recorded_trial_asks_the_cache_once_per_set_change(self, degenerate, kind):
+        # A capped trial keeps a few (champion, set) keys for thousands of
+        # rounds, and its oracle rate changes only with the key.  A tracking
+        # trial also solves each key it tracks once; with those solves this
+        # trial meets the bound exactly for TaS and FullElim.
+        cfg = PolicyConfig(kind=kind, delta=0.01, alpha=0.5, max_steps=3000)
         cache = _KeyCache(degenerate)
-        trace = run_trial(degenerate, 0, cfg, 7, record_diagnostics=True, cache=cache).diagnostics
+        trace = run_trial(degenerate, 0, cfg, 2, record_diagnostics=True, cache=cache).diagnostics
         keys = list(zip(trace.champion, map(tuple, trace.active_set)))
         changes = sum(a != b for a, b in zip(keys, keys[1:]))
-        assert len(trace.t) == 2000
-        assert cache.calls <= changes + 1
-        assert trace == run_trial(degenerate, 0, cfg, 7, record_diagnostics=True).diagnostics
+        distinct = 0 if kind == "Greedy" else len(set(keys))
+        assert len(trace.t) == 3000
+        assert cache.calls <= changes + 1 + distinct
+        assert trace == run_trial(degenerate, 0, cfg, 2, record_diagnostics=True).diagnostics
 
     def test_returning_champion_tracks_its_reduced_set(self, skewed, caches):
         # In this FullElim trial champion h eliminates, the champion moves
