@@ -5,6 +5,8 @@ actions, and a mean matrix (actions as rows, hypotheses as columns).
 Selecting action ``a`` when hypothesis ``h`` is true yields one draw from
 ``Normal(means[a][h], sigma**2)``.  Everything downstream (likelihoods,
 pairwise divergences, allocation oracles) is determined by this matrix.
+Construction and ``indistinguishable_pairs`` use plain floats; numpy loads
+with the first table asked for, so ``activeht env`` runs without it.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import json
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
-
-import numpy as np
 
 
 class ModelError(ValueError):
@@ -60,17 +60,22 @@ class Environment:
         width = len(self.means[0])
         if any(len(row) != width for row in self.means):
             raise MalformedDocumentError("means matrix rows have unequal lengths")
-        if not all(np.isfinite(x) for row in self.means for x in row):
+        # The loader's number rule; means and sigma are kept as given.
+        rows = [[_number(x, f"means[{a}][{h}]") for h, x in enumerate(r)]
+                for a, r in enumerate(self.means)]
+        if not all(isfinite(x) for row in rows for x in row):
             raise MalformedDocumentError("means matrix contains non-finite entries")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        sigma = _number(self.sigma, "sigma")
+        if not (isfinite(sigma) and sigma > 0):
             raise MalformedDocumentError(f"sigma must be positive, got {self.sigma}")
         # The likelihoods scale by -0.5 / sigma**2 and the divergences divide
         # by 2 sigma**2.  var is tested first: float division by 0 raises.
-        var = self.sigma * self.sigma
+        var = sigma * sigma
         if not (0 < var < inf and 0 < 0.5 / var < inf):
             raise MalformedDocumentError(
                 f"sigma {self.sigma} is out of range: sigma**2 or 0.5/sigma**2 is 0 or overflows")
-        if not np.isfinite(self.kl_table).all():
+        # Rounding is monotone: a row's widest gap gives its largest divergence.
+        if not all(isfinite(_divergence(max(row) - min(row), sigma)) for row in rows):
             raise MalformedDocumentError("means gaps overflow the divergence table")
 
     def __reduce__(self):
@@ -88,36 +93,28 @@ class Environment:
 
     @cached_property
     def means_array(self) -> np.ndarray:
-        arr = np.array(self.means, dtype=float)
-        arr.setflags(write=False)
-        return arr
+        import numpy as np  # the first table asked for loads numpy
+        return _read_only(np.array(self.means, dtype=float))
 
     @cached_property
     def kl_table(self) -> np.ndarray:
         """Read-only divergence tensor: ``[a, h, g]`` holds d_a(h, g) in nats
         per draw, the equal-variance Gaussian closed form
-        ``(means[a][h] - means[a][g])**2 / (2 sigma**2)``.  Built once per
-        environment."""
+        ``(means[a][h] - means[a][g])**2 / (2 sigma**2)``.  Built on first
+        use; construction has checked that no entry overflows."""
         mu = self.means_array
-        with np.errstate(over="ignore"):
-            gaps = mu[:, :, None] - mu[:, None, :]
-            values = gaps**2 / (2.0 * self.sigma**2)
-        values.setflags(write=False)
-        return values
+        gaps = mu[:, :, None] - mu[:, None, :]
+        return _read_only(gaps**2 / (2.0 * self.sigma**2))
 
     @cached_property
     def max_divergence(self) -> np.ndarray:
         """max over actions of d_a(h, g); zero entries mark indistinct pairs."""
-        out = self.kl_table.max(axis=0)
-        out.setflags(write=False)
-        return out
+        return _read_only(self.kl_table.max(axis=0))
 
     @cached_property
     def best_action(self) -> np.ndarray:
         """argmax over actions of d_a(h, g), lowest action index on ties."""
-        out = self.kl_table.argmax(axis=0)
-        out.setflags(write=False)
-        return out
+        return _read_only(self.kl_table.argmax(axis=0))
 
     def sha256(self) -> str:
         """Hex SHA-256 of the name, means and sigma.
@@ -133,10 +130,23 @@ class Environment:
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
     def indistinguishable_pairs(self) -> list[tuple[int, int]]:
-        """Hypothesis pairs (h < g) with zero divergence under every action."""
-        maxd = self.max_divergence
-        k = self.num_hypotheses
-        return [(h, g) for h in range(k) for g in range(h + 1, k) if maxd[h][g] == 0.0]
+        """Hypothesis pairs (h < g) with zero divergence under every action,
+        where ``max_divergence`` is 0; found without building the table."""
+        rows = [[float(x) for x in row] for row in self.means]
+        sigma, k = float(self.sigma), self.num_hypotheses
+        return [(h, g) for h in range(k) for g in range(h + 1, k)
+                if not any(_divergence(row[h] - row[g], sigma) for row in rows)]
+
+
+def _divergence(gap: float, sigma: float) -> float:
+    """One kl_table entry in numpy's float steps, underflow to 0 included;
+    gap * gap, since float ** raises OverflowError where numpy returns inf."""
+    return gap * gap / (2.0 * sigma**2)
+
+
+def _read_only(table):
+    table.setflags(write=False)
+    return table
 
 
 # Built-in benchmark environments.  Rows are actions, columns are hypotheses.

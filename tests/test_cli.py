@@ -13,7 +13,7 @@ from activeht.cli import (
     build_parser,
     dispatch,
 )
-from activeht import PolicyConfig, engine, load_environment
+from activeht import PRESET_NAMES, PolicyConfig, __version__, engine, load_environment
 from activeht.engine import DEFAULT_C_OFFSET, resolve_config
 
 from conftest import BASE_SEED, run_fresh_python
@@ -279,7 +279,8 @@ class TestSolveOracle:
 
 class TestLightCommands:
     @pytest.mark.parametrize("argv, unloaded", [
-        (["env", "--env", "skewed"], ("activeht.engine", "activeht.harness", "activeht.oracle")),
+        (["env", "--env", "skewed"],
+         ("activeht.engine", "activeht.harness", "activeht.oracle", "numpy")),
         (["solve-oracle", "--env", "skewed", "--h", "0", "--opponents", "1,2"],
          ("activeht.engine", "activeht.harness")),
     ])
@@ -288,6 +289,37 @@ class TestLightCommands:
         assert isinstance(json.loads(done.stdout), dict)
         assert "activeht.model" in loaded
         assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+        # The oracle's LP needs numpy; the environment checks do not.
+        assert ("numpy" in loaded) == (argv[0] == "solve-oracle")
+
+    @pytest.mark.parametrize("argv, code, stream, expected", [
+        pytest.param(["--version"], EXIT_OK, "stdout", f"activeht {__version__}\n", id="version"),
+        pytest.param(["--help"], EXIT_OK, "stdout", None, id="help"),
+        pytest.param(["env", "--bogus"], EXIT_USAGE, "stderr", None, id="usage-error"),
+        *(pytest.param(["env", "--env", env], EXIT_OK, "stdout", None, id=env)
+          for env in PRESET_NAMES),
+        pytest.param(
+            ["env", "--env", '{"name": "k3", "means": [[0, 1e-160, 2], [1, 1, 1]], "sigma": 3}'],
+            EXIT_OK, "stdout", None, id="document"),
+        pytest.param(
+            ["env", "--env", '{"name": "x", "means": [[0, 1e200], [0.5, 0.2]]}'],
+            EXIT_VALIDATION, "stderr",
+            "validation error: means gaps overflow the divergence table\n", id="overflow"),
+        pytest.param(
+            ["env", "--env", '{"name": "x", "means": [[0.1, true], [0.2, 0.3]]}'],
+            EXIT_VALIDATION, "stderr",
+            "validation error: means[0][1] must be a number, got True\n", id="bool-entry"),
+        pytest.param(
+            ["env", "--env", '{"name": "bad", "means": [[0.3, 0.3], [0.7, 0.7]]}'],
+            EXIT_VALIDATION, "stderr",
+            "validation error: no action distinguishes hypothesis pairs [(0, 1)]\n",
+            id="unidentifiable"),
+    ])
+    def test_light_paths_never_load_numpy(self, argv, code, stream, expected):
+        done, loaded = _run_fresh_cli(argv, code)
+        assert "numpy" not in loaded
+        if expected is not None:
+            assert getattr(done, stream) == expected
 
     @pytest.mark.parametrize("argv", [
         ["trial", "--policy", "FullElim", "--delta", "0.1"],
@@ -302,24 +334,28 @@ class TestLightCommands:
         flags = [str(tmp_path / f) if f.endswith((".json", ".csv")) else f for f in flags]
         _, loaded = _run_fresh_cli([command, "--env", "skewed", *flags])
         assert "activeht.engine" in loaded
+        assert "numpy" in loaded
         assert "activeht.reference" not in loaded
         assert not hasattr(engine, "new_trial_state")
 
 
-def _run_fresh_cli(argv):
+def _run_fresh_cli(argv, code=EXIT_OK):
     """Run ``activeht *argv`` in a fresh interpreter, since this one has
-    loaded every module; return the finished process and the modules the
-    command loaded."""
-    code = ("import json, sys\n"
-            "from activeht.cli import main\n"
-            f"sys.argv = ['activeht', *{argv!r}]\n"
-            "try:\n"
-            "    main()\n"
-            "finally:\n"
-            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
-    done = run_fresh_python(code)
-    assert done.returncode == EXIT_OK, done.stderr
-    return done, set(json.loads(done.stderr.splitlines()[-1]))
+    loaded every module; check that it exits with ``code`` and return the
+    finished process, with the modules' line cut from its stderr, and the
+    modules the command loaded."""
+    script = ("import json, sys\n"
+              "from activeht.cli import main\n"
+              f"sys.argv = ['activeht', *{argv!r}]\n"
+              "try:\n"
+              "    main()\n"
+              "finally:\n"
+              "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    done = run_fresh_python(script)
+    assert done.returncode == code, done.stderr
+    *messages, modules = done.stderr.splitlines(keepends=True)
+    done.stderr = "".join(messages)
+    return done, set(json.loads(modules))
 
 
 class TestTrial:

@@ -177,3 +177,77 @@ def test_pickled_environment_keeps_read_only_tables(skewed):
     for name, table in tables.items():
         assert np.array_equal(getattr(back, name), table)
         assert not getattr(back, name).flags.writeable, name
+
+
+@pytest.mark.parametrize("means, sigma, message", [
+    (((10**400, 0),), 1.0, r"means\[0\]\[0\] overflows a float"),
+    (((True, 0.5),), 1.0, r"means\[0\]\[0\] must be a number, got True"),
+    (((0.1, "0.2"),), 1.0, r"means\[0\]\[1\] must be a number"),
+    (((0.1, 0.2),), 10**400, "sigma overflows a float"),
+    (((0.1, 0.2),), None, "sigma must be a number, got None"),
+])
+def test_direct_construction_shares_the_loaders_number_rule(means, sigma, message):
+    with pytest.raises(MalformedDocumentError, match=message):
+        Environment(name="x", means=means, sigma=sigma)
+    with pytest.raises(MalformedDocumentError, match=message):
+        load_environment({"name": "x", "means": means, "sigma": sigma})
+
+
+def test_direct_construction_keeps_means_as_given():
+    env = Environment(name="ints", means=((0, 1), (2, 2)), sigma=2)
+    assert env.means == ((0, 1), (2, 2)) and env.sigma == 2
+    assert env.indistinguishable_pairs() == []
+    assert env.kl_table[0, 0, 1] == 1 / 8
+
+
+def numpy_kl_table(means, sigma):
+    """The divergence table as numpy builds it, overflow included."""
+    mu = np.array(means, dtype=float)
+    with np.errstate(over="ignore"):
+        gaps = mu[:, :, None] - mu[:, None, :]
+        return gaps**2 / (2.0 * sigma**2)
+
+
+def test_float_checks_agree_with_numpy_tables():
+    # Construction and indistinguishable_pairs work in plain floats; they
+    # must decide exactly as the numpy table would, on a family that
+    # reaches the overflow edge and pairs whose squared gap underflows.
+    rng = np.random.default_rng(20260)
+    accepted = rejected = collapsed = 0
+    for _ in range(4000):
+        k, a = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        means = rng.uniform(-1, 1, size=(a, k)) * 10.0 ** int(rng.integers(-200, 201))
+        sigma = 10.0 ** int(rng.integers(-150, 151))
+        if rng.random() < 0.5:
+            h, g = rng.choice(k, size=2, replace=False)
+            means[:, h] = 0.0
+            means[:, g] = rng.choice([0.0, 1e-300, 5e-162, 1e-170, 1e-160]) * rng.choice([-1, 1])
+        table = numpy_kl_table(means, sigma)
+        rows = tuple(map(tuple, means.tolist()))
+        if not np.isfinite(table).all():
+            rejected += 1
+            with pytest.raises(MalformedDocumentError, match="overflow the divergence table"):
+                Environment(name="r", means=rows, sigma=sigma)
+            continue
+        accepted += 1
+        env = Environment(name="r", means=rows, sigma=sigma)
+        pairs = env.indistinguishable_pairs()
+        assert np.array_equal(env.kl_table, table)
+        assert pairs == [(h, g) for h in range(k) for g in range(h + 1, k)
+                         if env.max_divergence[h][g] == 0]
+        collapsed += bool(pairs)
+    # The family exercises every outcome.
+    assert min(accepted, rejected, collapsed) > 100, (accepted, rejected, collapsed)
+
+
+def test_tables_are_built_on_first_use(skewed):
+    names = ("means_array", "kl_table", "max_divergence", "best_action")
+    doc = {"name": "fresh", "means": [list(r) for r in skewed.means]}
+    for env in (Environment(name="fresh", means=skewed.means), load_environment(doc)):
+        assert env.indistinguishable_pairs() == []
+        assert not set(names) & set(vars(env))
+        back = pickle.loads(pickle.dumps(env))
+        assert not set(names) & set(vars(back))
+        for name in names:
+            assert np.array_equal(getattr(back, name), getattr(skewed, name))
+            assert not getattr(back, name).flags.writeable, name
