@@ -36,6 +36,9 @@ EXIT_VALIDATION = 3
 # batch holds at most 1,024 log-likelihoods (see activeht.engine).
 CLI_MAX_STEPS = 20_000
 
+# The panel files `diagnose --plot-dir` writes, in emit_plot_data's order.
+PANEL_FILES = ("active_set.csv", "allocation.csv", "evidence.csv", "rates.csv")
+
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
@@ -120,16 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dir(out: str) -> None:
-    """Raise the error that writing ``out`` would raise on a missing
-    directory or on a directory at ``out``, before the run spends its time;
-    a file already at ``out`` stays untouched until the run succeeds."""
-    if not Path(out).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    if Path(out).is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-
-
 def _write_manifest(command: str, out: str, config: dict) -> None:
     manifest = {"tool": "activeht", "version": __version__, "command": command, "config": config}
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -207,7 +200,6 @@ def _cmd_sweep(args) -> int:
         b=args.b, c=args.c, max_steps=args.max_steps)
     # c resolves from K alone, so the first cell's c is every cell's.
     first = ecfg.policy_config(ecfg.policies[0], ecfg.deltas[0], ecfg.alphas[0])
-    _check_out_dir(args.out)
     rows = run_sweep(ecfg)
     _write_manifest(args.command, args.out, {
         **asdict(ecfg), "environment": args.env, "c": resolve_config(first, ecfg.environment).c,
@@ -218,22 +210,29 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from .engine import resolve_config, run_trial
+    from .harness import _check_out_dir
 
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
     _check_out_dir(args.out)
-    # A file at or above --plot-dir would fail the panels' mkdir after the trial.
-    for p in [Path(args.plot_dir), *Path(args.plot_dir).parents] if args.plot_dir else ():
-        if p.exists() and not p.is_dir():
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(p))
+    if args.plot_dir is not None:
+        # A file at or above --plot-dir would fail the panels' mkdir after the
+        # trial; a panel at the trace, or a --plot-dir at or under the trace or
+        # its manifest, would overwrite one output with another.
+        for p in [Path(args.plot_dir), *Path(args.plot_dir).parents]:
+            if p.exists() and not p.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(p))
+        out, panels = Path(args.out).resolve(), Path(args.plot_dir).resolve()
+        written = {out, out.with_name(out.name + ".manifest.json")}
+        if out in [panels / name for name in PANEL_FILES] or written & {panels, *panels.parents}:
+            raise FileExistsError(errno.EEXIST, "--out and --plot-dir overlap", args.plot_dir)
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
     _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,
                                            "seed": args.seed, "out": args.out,
                                            **asdict(resolve_config(cfg, env))})
     if args.plot_dir is not None:
-        paths = emit_plot_data(trace, args.plot_dir)
-        for p in paths:
+        for p in emit_plot_data(trace, args.plot_dir):
             print(p)
     print(f"trace written to {args.out} ({len(trace.t)} rounds)")
     return EXIT_OK
@@ -249,40 +248,33 @@ def emit_plot_data(trace, out_dir) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    lines = ["t,champion,removed,active_size,active_members"]
+    active = ["t,champion,removed,active_size,active_members"]
     for step, champion, removed, survivors in zip(
         trace.t, trace.champion, trace.events, trace.active_set
     ):
         if removed:
-            lines.append(
+            active.append(
                 f"{step},{champion},{';'.join(map(str, removed))},{len(survivors)},"
                 f"{';'.join(map(str, survivors))}"
             )
-    paths.append(_write_lines(out / "active_set.csv", lines))
 
-    lines = ["t," + ",".join(f"w{a}" for a in range(len(trace.alloc[0])))]
+    allocation = ["t," + ",".join(f"w{a}" for a in range(len(trace.alloc[0])))]
     for step, alloc in zip(trace.t, trace.alloc):
-        lines.append(f"{step}," + ",".join(f"{w:.6f}" for w in alloc))
-    paths.append(_write_lines(out / "allocation.csv", lines))
+        allocation.append(f"{step}," + ",".join(f"{w:.6f}" for w in alloc))
 
-    lines = ["t,min_Z,beta_elim"]
+    evidence = ["t,min_Z,beta_elim"]
     for step, z, beta in zip(trace.t, trace.min_z, trace.beta_elim):
-        lines.append(f"{step},{z:.6f},{beta:.6f}")
-    paths.append(_write_lines(out / "evidence.csv", lines))
+        evidence.append(f"{step},{z:.6f},{beta:.6f}")
 
-    lines = ["t,oracle_rate,empirical_rate"]
+    rates = ["t,oracle_rate,empirical_rate"]
     for step, orate, erate in zip(trace.t, trace.oracle_rate, trace.empirical_rate):
         if orate is not None:
-            lines.append(f"{step},{orate:.8f},{erate:.8f}")
-    paths.append(_write_lines(out / "rates.csv", lines))
+            rates.append(f"{step},{orate:.8f},{erate:.8f}")
+
+    paths = [out / name for name in PANEL_FILES]
+    for path, lines in zip(paths, (active, allocation, evidence, rates)):
+        path.write_text("\n".join(lines) + "\n")
     return paths
-
-
-def _write_lines(path: Path, lines) -> Path:
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 _COMMANDS = {

@@ -8,8 +8,10 @@ identical no matter how many workers execute them.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from itertools import product
@@ -138,6 +140,16 @@ def aggregate(results, *, environment: str = "", policy: str = "",
     )
 
 
+def _check_out_dir(out: str) -> None:
+    """Raise the error that writing ``out`` would raise on a missing
+    directory or on a directory at ``out``, before the run spends its time;
+    a file already at ``out`` stays untouched until the run succeeds."""
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def _run_batches(jobs, workers: int) -> list[list[TrialResult]]:
     """``run_trials(*job)`` of each ``(env, true_h, cfgs, seeds)`` job, in
     job order: in this process on one oracle cache, or on a pool of
@@ -170,6 +182,8 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     there are enough trials); the pool opens no more workers than batches.
     """
     env = load_environment(ecfg.environment)
+    if ecfg.out:
+        _check_out_dir(ecfg.out)
     cells = list(product(ecfg.policies, ecfg.deltas, ecfg.alphas))
     cfgs, seeds = [], []
     for cell in cells:

@@ -5,8 +5,8 @@ actions, and a mean matrix (actions as rows, hypotheses as columns).
 Selecting action ``a`` when hypothesis ``h`` is true yields one draw from
 ``Normal(means[a][h], sigma**2)``.  Everything downstream (likelihoods,
 pairwise divergences, allocation oracles) is determined by this matrix.
-Construction and ``indistinguishable_pairs`` use plain floats; numpy loads
-with the first table asked for, so ``activeht env`` runs without it.
+Construction reads the means and sigma once and stores them as plain floats;
+numpy loads with the first table asked for, so ``activeht env`` runs without it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class Environment:
     Attributes:
         name: human-readable label, carried into result tables as a CSV
             field, so it holds no comma or line break.
-        means: per-action observation means, ``means[a][h]``; tuple of rows.
-        sigma: common observation noise standard deviation (> 0).
+        means: per-action observation means, ``means[a][h]``; float tuples.
+        sigma: common observation noise standard deviation (> 0), a float.
     """
 
     name: str
@@ -50,30 +50,35 @@ class Environment:
     sigma: float = 1.0
 
     def __post_init__(self):
+        # The only reader of means and sigma; documents get the same checks.
+        if not isinstance(self.means, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in self.means
+        ):
+            raise MalformedDocumentError("'means' must be a list of per-action rows")
+        rows = tuple(tuple(_number(x, f"means[{a}][{h}]") for h, x in enumerate(row))
+                     for a, row in enumerate(self.means))
+        sigma = _number(self.sigma, "sigma")
+        object.__setattr__(self, "means", rows)
+        object.__setattr__(self, "sigma", sigma)
         if not isinstance(self.name, str):
             raise MalformedDocumentError(f"environment name must be a string, got {self.name!r}")
         if any(ch in self.name for ch in ",\n\r"):
             raise MalformedDocumentError(
                 f"environment name {self.name!r} must not contain a comma or line break")
-        if not self.means or not self.means[0]:
+        if not rows or not rows[0]:
             raise MalformedDocumentError("means matrix must be non-empty")
-        width = len(self.means[0])
-        if any(len(row) != width for row in self.means):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise MalformedDocumentError("means matrix rows have unequal lengths")
-        # The loader's number rule; means and sigma are kept as given.
-        rows = [[_number(x, f"means[{a}][{h}]") for h, x in enumerate(r)]
-                for a, r in enumerate(self.means)]
         if not all(isfinite(x) for row in rows for x in row):
             raise MalformedDocumentError("means matrix contains non-finite entries")
-        sigma = _number(self.sigma, "sigma")
         if not (isfinite(sigma) and sigma > 0):
-            raise MalformedDocumentError(f"sigma must be positive, got {self.sigma}")
+            raise MalformedDocumentError(f"sigma must be positive, got {sigma}")
         # The likelihoods scale by -0.5 / sigma**2 and the divergences divide
         # by 2 sigma**2.  var is tested first: float division by 0 raises.
         var = sigma * sigma
         if not (0 < var < inf and 0 < 0.5 / var < inf):
             raise MalformedDocumentError(
-                f"sigma {self.sigma} is out of range: sigma**2 or 0.5/sigma**2 is 0 or overflows")
+                f"sigma {sigma} is out of range: sigma**2 or 0.5/sigma**2 is 0 or overflows")
         # Rounding is monotone: a row's widest gap gives its largest divergence.
         if not all(isfinite(_divergence(max(row) - min(row), sigma)) for row in rows):
             raise MalformedDocumentError("means gaps overflow the divergence table")
@@ -103,8 +108,7 @@ class Environment:
         ``(means[a][h] - means[a][g])**2 / (2 sigma**2)``.  Built on first
         use; construction has checked that no entry overflows."""
         mu = self.means_array
-        gaps = mu[:, :, None] - mu[:, None, :]
-        return _read_only(gaps**2 / (2.0 * self.sigma**2))
+        return _read_only(_divergence(mu[:, :, None] - mu[:, None, :], self.sigma))
 
     @cached_property
     def max_divergence(self) -> np.ndarray:
@@ -125,22 +129,20 @@ class Environment:
         # Imported here: numpy does not load it, and only sweeps ask.
         import hashlib
 
-        doc = {"name": self.name, "sigma": float(self.sigma),
-               "means": [[float(x) for x in row] for row in self.means]}
+        doc = {"name": self.name, "sigma": self.sigma, "means": self.means}
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
     def indistinguishable_pairs(self) -> list[tuple[int, int]]:
         """Hypothesis pairs (h < g) with zero divergence under every action,
         where ``max_divergence`` is 0; found without building the table."""
-        rows = [[float(x) for x in row] for row in self.means]
-        sigma, k = float(self.sigma), self.num_hypotheses
+        k = self.num_hypotheses
         return [(h, g) for h in range(k) for g in range(h + 1, k)
-                if not any(_divergence(row[h] - row[g], sigma) for row in rows)]
+                if not any(_divergence(row[h] - row[g], self.sigma) for row in self.means)]
 
 
-def _divergence(gap: float, sigma: float) -> float:
-    """One kl_table entry in numpy's float steps, underflow to 0 included;
-    gap * gap, since float ** raises OverflowError where numpy returns inf."""
+def _divergence(gap, sigma: float):
+    """Divergence of a float gap or a gap array, underflow to 0 included; gap *
+    gap, since float ** raises OverflowError where numpy returns inf."""
     return gap * gap / (2.0 * sigma**2)
 
 
@@ -204,7 +206,7 @@ def _read_document(source) -> dict:
         return source
     if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
         path = Path(source)
-        if not path.exists():
+        if not path.is_file():
             raise MalformedDocumentError(f"{source!r} is neither a preset name nor an existing "
                                          f"file; presets: {', '.join(PRESET_NAMES)}")
         text = path.read_text()
@@ -222,16 +224,8 @@ def _read_document(source) -> dict:
 def _environment_from_document(doc: dict) -> Environment:
     if "means" not in doc:
         raise MalformedDocumentError("environment document lacks a 'means' field")
-    means = doc["means"]
-    if not isinstance(means, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) for row in means
-    ):
-        raise MalformedDocumentError("'means' must be a list of per-action rows")
-    rows = tuple(tuple(_number(x, f"means[{a}][{h}]") for h, x in enumerate(row))
-                 for a, row in enumerate(means))
-    name = doc.get("name", "custom")
-    sigma = _number(doc.get("sigma", 1.0), "sigma")
-    env = Environment(name=name, means=rows, sigma=sigma)
+    env = Environment(name=doc.get("name", "custom"), means=doc["means"],
+                      sigma=doc.get("sigma", 1.0))
     for key in ("num_actions", "num_hypotheses"):
         if key not in doc:
             continue

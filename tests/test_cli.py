@@ -43,6 +43,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("source, field", [
         ("missing-env", "neither a preset name nor an existing file"),
         ("typo", "presets: degenerate, hard-weak, skewed"),
+        # An empty path reads as the working directory; no directory is a document.
+        ("", "'' is neither a preset name nor an existing file"),
+        (".", "'.' is neither a preset name nor an existing file"),
         ('{"name": "x", "means": [[0, Infinity], [0.5, 0.2]]}', "non-finite"),
         ('{"name": "x", "means": []}', "non-empty"),
         # no action separates hypotheses 0 and 1
@@ -114,6 +117,23 @@ class TestExitCodes:
         assert f"[Errno 17] File exists: {str(tmp_path / 'afile')!r}" in err
         assert calls == []
         assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+
+    @pytest.mark.parametrize("out, plot_dir", [
+        *((f"plots/{panel}", "plots")
+          for panel in ("active_set.csv", "allocation.csv", "evidence.csv", "rates.csv")),
+        ("t", "t"), ("t", "t/sub"), ("t", "t.manifest.json"),
+    ])
+    def test_overlapping_trace_and_plot_dir_fail_before_the_trial(self, capsys, tmp_path, out,
+                                                                   plot_dir):
+        # A panel would overwrite the trace, or the panels' mkdir would fail
+        # once the trace and its manifest were written.
+        (tmp_path / "plots").mkdir()
+        code, _, err = run_cli(capsys, [
+            "diagnose", "--env", "skewed", "--seed", "7", "--out", str(tmp_path / out),
+            "--plot-dir", str(tmp_path / plot_dir)])
+        assert code == EXIT_RUNTIME
+        assert f"[Errno 17] --out and --plot-dir overlap: {str(tmp_path / plot_dir)!r}" in err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "plots"]
 
 
 # Every subcommand's flags: option -> (default, required, type name, choices).

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,21 @@ class TestSweeps:
                        pytest.approx(r.error_rate), r.timeouts, r.trials, r.wrong)
             for r in rows
         ]
+
+    @pytest.mark.parametrize("target, error", [
+        ("missing/x.csv", FileNotFoundError),
+        ("dir", IsADirectoryError),
+    ])
+    def test_output_path_is_checked_before_any_trial(self, tmp_path, monkeypatch, target,
+                                                     error):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        with pytest.raises(error, match=re.escape(repr(out))):
+            run_sweep(ExperimentConfig(environment="skewed", trials=50, max_steps=2000, out=out))
+        assert calls == []
+        assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
 
     def test_sweep_runs_every_cell_of_the_grids(self):
         rows = run_sweep(ExperimentConfig(

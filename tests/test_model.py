@@ -8,7 +8,10 @@ from activeht import (
     Environment,
     IdentifiabilityError,
     MalformedDocumentError,
+    OracleCache,
+    PolicyConfig,
     load_environment,
+    run_trials,
 )
 
 
@@ -185,6 +188,9 @@ def test_pickled_environment_keeps_read_only_tables(skewed):
     (((0.1, "0.2"),), 1.0, r"means\[0\]\[1\] must be a number"),
     (((0.1, 0.2),), 10**400, "sigma overflows a float"),
     (((0.1, 0.2),), None, "sigma must be a number, got None"),
+    # and its row rule
+    ((1, 2), 1.0, "'means' must be a list of per-action rows"),
+    (((0, 1), 5), 1.0, "'means' must be a list of per-action rows"),
 ])
 def test_direct_construction_shares_the_loaders_number_rule(means, sigma, message):
     with pytest.raises(MalformedDocumentError, match=message):
@@ -193,11 +199,67 @@ def test_direct_construction_shares_the_loaders_number_rule(means, sigma, messag
         load_environment({"name": "x", "means": means, "sigma": sigma})
 
 
-def test_direct_construction_keeps_means_as_given():
+def test_direct_construction_stores_floats():
     env = Environment(name="ints", means=((0, 1), (2, 2)), sigma=2)
     assert env.means == ((0, 1), (2, 2)) and env.sigma == 2
+    assert all(type(x) is float for row in env.means for x in row)
+    assert type(env.sigma) is float
     assert env.indistinguishable_pairs() == []
     assert env.kl_table[0, 0, 1] == 1 / 8
+
+
+@pytest.mark.parametrize("means, sigma", [
+    (((0, 1), (2, 2)), 2),
+    ((tuple(np.float64([0, 1])), tuple(np.float64([2, 2]))), np.float64(2.0)),
+    ([[0, 1.0], np.array([2.0, 2]).tolist()], 2.0),
+])
+def test_stored_entries_and_sigma_are_floats(means, sigma):
+    env = Environment(name="x", means=means, sigma=sigma)
+    assert type(env.means) is tuple
+    assert all(type(row) is tuple for row in env.means)
+    assert all(type(x) is float for row in env.means for x in row)
+    assert type(env.sigma) is float
+    assert env == Environment(name="x", means=((0.0, 1.0), (2.0, 2.0)), sigma=2.0)
+    with pytest.raises(MalformedDocumentError, match=r"means\[0\]\[1\] must be a number, got True"):
+        Environment(name="x", means=((0.0, True), (2.0, 2.0)), sigma=sigma)
+    with pytest.raises(MalformedDocumentError, match="sigma must be a number, got True"):
+        Environment(name="x", means=means, sigma=True)
+
+
+def test_list_and_tuple_rows_build_the_same_environment():
+    rows = [[0.5, 0.9, 0.5], [0.3, 0.5, 0.7]]
+    from_lists = Environment(name="x", means=rows)
+    from_tuples = Environment(name="x", means=tuple(map(tuple, rows)))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.sha256() == from_tuples.sha256()
+    # An oracle cache is bound to the environment it was built for; an
+    # equal one built from lists may use it.
+    cfg = PolicyConfig(kind="FullElim", delta=0.1)
+    shared = run_trials(from_lists, 0, [cfg], [1], cache=OracleCache(from_tuples))
+    assert shared == run_trials(from_tuples, 0, [cfg], [1])
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a bad name and a bad entry
+    ({"name": "a,b", "means": [[True, 0]]}, "means[0][0] must be a number, got True"),
+    # ragged rows and a bad entry
+    ({"name": "x", "means": [[0.1, 0.2], [None]]}, "means[1][0] must be a number, got None"),
+    # a bad sigma and a bad name
+    ({"name": 7, "means": [[0.1, 0.2]], "sigma": None}, "sigma must be a number, got None"),
+    ({"name": "a,b", "means": [[0.1, 0.2]], "sigma": -1},
+     "environment name 'a,b' must not contain a comma or line break"),
+    # a bad row shape and a bad sigma
+    ({"name": "x", "means": [[0.1], 5], "sigma": "1"}, "'means' must be a list of per-action rows"),
+    # ragged rows and a non-finite entry
+    ({"name": "x", "means": [[0.1, float("inf")], [0.2]]}, "means matrix rows have unequal lengths"),
+    # a non-finite entry and a bad sigma range
+    ({"name": "x", "means": [[0.1, float("nan")]], "sigma": 0}, "means matrix contains non-finite"),
+])
+def test_first_of_two_faults_is_reported(doc, message):
+    with pytest.raises(MalformedDocumentError) as info:
+        load_environment(doc)
+    assert str(info.value).startswith(message)
 
 
 def numpy_kl_table(means, sigma):
