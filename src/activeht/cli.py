@@ -123,6 +123,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(out: str, plot_dir: str | None = None) -> None:
+    """Raise before any trial the error that writing ``out``, its manifest or
+    a ``plot_dir`` panel file would raise after it.  This writes nothing."""
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    files = [Path(out + ".manifest.json")]
+    if plot_dir is not None:
+        # A file at or above plot_dir would fail the panels' mkdir; a panel at
+        # out, or a plot_dir at or under out or its manifest, would overwrite
+        # one output with another.
+        for p in [Path(plot_dir), *Path(plot_dir).parents]:
+            if p.exists() and not p.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(p))
+        target, panels = Path(out).resolve(), Path(plot_dir).resolve()
+        written = {target, target.with_name(target.name + ".manifest.json")}
+        if target in [panels / name for name in PANEL_FILES] or written & {panels, *panels.parents}:
+            raise FileExistsError(errno.EEXIST, "--out and --plot-dir overlap", plot_dir)
+        files += [Path(plot_dir) / name for name in PANEL_FILES]
+    for f in files:
+        if f.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(f))
+
+
 def _write_manifest(command: str, out: str, config: dict) -> None:
     manifest = {"tool": "activeht", "version": __version__, "command": command, "config": config}
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -190,42 +215,33 @@ def _cmd_sweep(args) -> int:
     from .harness import ExperimentConfig, run_sweep, summary_to_csv
 
     if args.command == "exp1":
-        grids = dict(policies=tuple(p for p in args.policies.split(",") if p),
+        grids = dict(policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
                      deltas=tuple(args.deltas), alphas=(1.0,))
     else:
         grids = dict(policies=("FullElim",), deltas=(args.delta,), alphas=tuple(args.alphas))
     ecfg = ExperimentConfig(
         environment=load_environment(args.env), true_h=args.true_h, **grids,
-        trials=args.trials, base_seed=args.seed, workers=args.workers, out=args.out,
+        trials=args.trials, base_seed=args.seed, workers=args.workers,
         b=args.b, c=args.c, max_steps=args.max_steps)
     # c resolves from K alone, so the first cell's c is every cell's.
     first = ecfg.policy_config(ecfg.policies[0], ecfg.deltas[0], ecfg.alphas[0])
-    rows = run_sweep(ecfg)
+    _check_outputs(args.out)
+    csv = summary_to_csv(run_sweep(ecfg))
+    Path(args.out).write_text(csv)
     _write_manifest(args.command, args.out, {
-        **asdict(ecfg), "environment": args.env, "c": resolve_config(first, ecfg.environment).c,
+        **asdict(ecfg), "out": args.out, "environment": args.env,
+        "c": resolve_config(first, ecfg.environment).c,
         "environment_sha256": ecfg.environment.sha256()})
-    print(summary_to_csv(rows), end="")
+    print(csv, end="")
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
     from .engine import resolve_config, run_trial
-    from .harness import _check_out_dir
 
     cfg = _policy_config(args, args.policy)
     env = load_environment(args.env)
-    _check_out_dir(args.out)
-    if args.plot_dir is not None:
-        # A file at or above --plot-dir would fail the panels' mkdir after the
-        # trial; a panel at the trace, or a --plot-dir at or under the trace or
-        # its manifest, would overwrite one output with another.
-        for p in [Path(args.plot_dir), *Path(args.plot_dir).parents]:
-            if p.exists() and not p.is_dir():
-                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(p))
-        out, panels = Path(args.out).resolve(), Path(args.plot_dir).resolve()
-        written = {out, out.with_name(out.name + ".manifest.json")}
-        if out in [panels / name for name in PANEL_FILES] or written & {panels, *panels.parents}:
-            raise FileExistsError(errno.EEXIST, "--out and --plot-dir overlap", args.plot_dir)
+    _check_outputs(args.out, args.plot_dir)
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
     _write_manifest("diagnose", args.out, {"environment": args.env, "true_h": args.true_h,

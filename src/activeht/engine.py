@@ -86,7 +86,7 @@ import numpy as np
 
 from .defaults import DEFAULT_B, DEFAULT_C_OFFSET, POLICY_KINDS
 from .model import Environment
-from .oracle import OracleCache
+from .oracle import OracleCache, _rate
 
 _RNG_BLOCK = 512
 # Finished rows of a lockstep batch are compacted out once they are this share
@@ -357,6 +357,8 @@ def run_trials(
     elif cache.env is not env and cache.env != env:
         raise ValueError(f"the oracle cache was built for another environment "
                          f"({cache.env.name!r}), not for {env.name!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"seed must be non-negative, got {min(seeds)}")
 
     first = cfgs[0]
     b, c, max_steps = first.b, first.c, first.max_steps
@@ -701,10 +703,8 @@ def _record_round(trace, env, cfg, cache, t, rows, removed):
     trace.events.append(removed)
     if survivors:
         rate = trace.oracle_rate[-1] if unchanged else cache.target(ch, survivors)[1]
-        weights = np.array(alloc)
-        emp = min(float(np.dot(weights, env.kl_table[:, ch, g])) for g in survivors)
         trace.oracle_rate.append(rate)
-        trace.empirical_rate.append(emp)
+        trace.empirical_rate.append(_rate(env, ch, survivors, np.array(alloc)))
     else:
         trace.oracle_rate.append(None)
         trace.empirical_rate.append(None)

@@ -8,15 +8,12 @@ identical no matter how many workers execute them.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import operator
-import os
 import struct
 from dataclasses import dataclass
 from itertools import product
 from math import nan, sqrt
-from pathlib import Path
 
 from .defaults import ALPHA_GRID, DEFAULT_B, DELTA_GRID, POLICY_KINDS
 from .engine import PolicyConfig, TrialResult, _integer_field, run_trials
@@ -55,7 +52,6 @@ class ExperimentConfig:
     trials: int = 1000
     base_seed: int = 0
     workers: int = 1
-    out: str | None = None
     b: float = DEFAULT_B
     c: float | None = None
     max_steps: int = 1_000_000
@@ -140,16 +136,6 @@ def aggregate(results, *, environment: str = "", policy: str = "",
     )
 
 
-def _check_out_dir(out: str) -> None:
-    """Raise the error that writing ``out`` would raise on a missing
-    directory or on a directory at ``out``, before the run spends its time;
-    a file already at ``out`` stays untouched until the run succeeds."""
-    if not Path(out).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    if Path(out).is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-
-
 def _run_batches(jobs, workers: int) -> list[list[TrialResult]]:
     """``run_trials(*job)`` of each ``(env, true_h, cfgs, seeds)`` job, in
     job order: in this process on one oracle cache, or on a pool of
@@ -180,10 +166,9 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     The trials, in cell order, are split into near-equal contiguous lockstep
     batches of at most ``ROW_CAP`` rows, one per worker at least (while
     there are enough trials); the pool opens no more workers than batches.
+    It writes no file: ``summary_to_csv`` formats the rows as a table.
     """
     env = load_environment(ecfg.environment)
-    if ecfg.out:
-        _check_out_dir(ecfg.out)
     cells = list(product(ecfg.policies, ecfg.deltas, ecfg.alphas))
     cfgs, seeds = [], []
     for cell in cells:
@@ -199,8 +184,6 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
                       policy=kind, delta=delta, alpha=alpha)
             for j, (kind, delta, alpha) in enumerate(cells)]
     rows.sort(key=lambda r: (r.policy, -r.delta, r.alpha))
-    if ecfg.out:
-        Path(ecfg.out).write_text(summary_to_csv(rows))
     return rows
 
 

@@ -20,6 +20,7 @@ from activeht import (
     run_sweep,
     run_trial,
     run_trials,
+    summary_to_csv,
     trial_seed,
     worst_case_rate,
 )
@@ -281,14 +282,12 @@ def test_criterion_8_diagnostics_staircase(skewed, caches):
     assert ok
 
 
-def test_criterion_9_worker_determinism(tmp_path):
+def test_criterion_9_worker_determinism():
     outputs = []
-    for i, workers in enumerate((1, 8, 1)):
-        out = tmp_path / f"cell{i}.csv"
-        run_sweep(ExperimentConfig(
+    for workers in (1, 8, 1):
+        outputs.append(summary_to_csv(run_sweep(ExperimentConfig(
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
-            trials=24, base_seed=BASE_SEED, workers=workers, out=str(out)))
-        outputs.append(out.read_bytes())
+            trials=24, base_seed=BASE_SEED, workers=workers))))
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(9, ok, "delta-sweep CSV byte-identical across 1, 8, and 1 workers")
     assert ok

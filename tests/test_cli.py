@@ -85,22 +85,27 @@ class TestExitCodes:
         ["exp2", "--trials", "200"],
         ["diagnose"],
     ])
-    @pytest.mark.parametrize("target, message", [
-        ("missing/x.csv", "[Errno 2] No such file or directory"),
-        ("dir", "[Errno 21] Is a directory"),
+    @pytest.mark.parametrize("target, named, message", [
+        ("missing/x.csv", "missing/x.csv", "[Errno 2] No such file or directory"),
+        ("dir", "dir", "[Errno 21] Is a directory"),
+        # The manifest is checked with --out, before the run writes anything.
+        ("x.csv", "x.csv.manifest.json", "[Errno 21] Is a directory"),
     ])
     def test_bad_output_path_fails_before_any_trial(self, capsys, tmp_path, monkeypatch,
-                                                    command, target, message):
+                                                    command, target, named, message):
         calls = []
-        for module in ("activeht.engine", "activeht.harness"):
+        # harness first: importing it binds the engine's run_trials, which must
+        # still be the real one for monkeypatch to restore it.
+        for module in ("activeht.harness", "activeht.engine"):
             monkeypatch.setattr(f"{module}.run_trials", lambda *args, **kwargs: calls.append(args))
         (tmp_path / "dir").mkdir()
+        (tmp_path / "x.csv.manifest.json").mkdir()
         out = tmp_path / target
         code, _, err = run_cli(capsys, [*command, "--env", "skewed", "--out", str(out)])
         assert code == EXIT_RUNTIME
-        assert f"{message}: {str(out)!r}" in err
+        assert f"{message}: {str(tmp_path / named)!r}" in err
         assert calls == []
-        assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "dir", tmp_path / "x.csv.manifest.json"]
 
     @pytest.mark.parametrize("plot_dir", ["afile", "afile/sub"])
     def test_plot_dir_at_a_file_fails_before_the_trial(self, capsys, tmp_path, monkeypatch,
@@ -134,6 +139,24 @@ class TestExitCodes:
         assert code == EXIT_RUNTIME
         assert f"[Errno 17] --out and --plot-dir overlap: {str(tmp_path / plot_dir)!r}" in err
         assert list(tmp_path.rglob("*")) == [tmp_path / "plots"]
+
+    @pytest.mark.parametrize("panel", ["active_set.csv", "allocation.csv", "evidence.csv",
+                                       "rates.csv"])
+    def test_panel_path_at_a_directory_fails_before_the_trial(self, capsys, tmp_path,
+                                                              monkeypatch, panel):
+        # Each panel is checked before the trial, so no trace, manifest or
+        # earlier panel is left behind.
+        calls = []
+        monkeypatch.setattr("activeht.engine.run_trials", lambda *args, **kwargs: calls.append(args))
+        blocked = tmp_path / "plots" / panel
+        blocked.mkdir(parents=True)
+        code, _, err = run_cli(capsys, [
+            "diagnose", "--env", "skewed", "--seed", "7", "--out", str(tmp_path / "trace.json"),
+            "--plot-dir", str(tmp_path / "plots")])
+        assert code == EXIT_RUNTIME
+        assert f"[Errno 21] Is a directory: {str(blocked)!r}" in err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "plots", blocked]
 
 
 # Every subcommand's flags: option -> (default, required, type name, choices).
@@ -262,6 +285,9 @@ class TestValidationRules:
         # its answer fails its own certificate instead of printing rate 0.
         (["solve-oracle", "--env", '{"name": "tiny", "means": [[0, 1e-5, 0], [0, 0, 1e-5]]}',
           "--h", "0", "--opponents", "1,2"], "not certified"),
+        # A negative seed is named here, not left to numpy's message.
+        (["trial", "--policy", "TaS", "--delta", "0.1", "--seed", "-5"], "seed"),
+        (["diagnose", "--seed", "-5"], "seed"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv
@@ -427,10 +453,15 @@ class TestExperiments:
     def test_exp1_rerun_is_byte_identical(self, capsys, tmp_path):
         argv = ["exp1", "--env", "skewed", "--trials", "4", "--deltas", "0.4,0.2",
                 "--policies", "TaS,FullElim", "--seed", "11"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         assert run_cli(capsys, argv + ["--out", str(a)])[0] == EXIT_OK
         assert run_cli(capsys, argv + ["--out", str(b)])[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        # Spaces around --policies entries are dropped, as for --deltas; the
+        # later flag overrides the earlier one.
+        spaced = argv + ["--policies", "TaS, FullElim", "--out", str(c)]
+        assert run_cli(capsys, spaced)[0] == EXIT_OK
+        assert c.read_bytes() == a.read_bytes()
 
     def test_exp2_grid_rows(self, capsys, tmp_path):
         out_path = tmp_path / "exp2.csv"
@@ -475,16 +506,16 @@ class TestPinnedSweeps:
     @pytest.mark.parametrize("argv, csv_digest, manifest_digest", [
         (["exp1", "--env", "skewed", "--trials", "3"],
          "afd4183bc2a26031e3e5467d9af242e51371caeed2d9e1a4d2cd6a0a1a9da257",
-         "385d6940dcb2cf0903c31b7c2e919356cfa1fbb5a7150f481e64cdda8d98dd6d"),
+         "73f19bdaff4007aa661398e691dee2e76e8269a22e426df85bd164d321300e06"),
         # every trial times out at the 400-step cap: NaN rows
         (["exp1", "--env", "degenerate", "--trials", "3", "--workers", "2",
           "--max-steps", "400"],
          "8e9279a245fd48a3931ca67dc3964128d7a67333a591f391858221f06407b1af",
-         "d42616992b29b183f280bbba3c40978263a2fd77cb389f03010a8477931206f7"),
+         "46fec8ad1e49e47bf021c930ded7f5ffeceaf05894bedd3e13960836c695d408"),
         (["exp2", "--env", "hard-weak", "--trials", "3", "--workers", "2",
           "--b", "0.7", "--c", "0.1"],
          "e757cd8178e1f84dbb94b2316de8fbc91f34c42c01de5394eb540b51b54dee4b",
-         "a6e38c8fdda63d5f0eb236ce03b62754c34bfbfe574689ac63b0b532fcaf019c"),
+         "f7dc8449983de4526b628f7d70f9acc99d305520567141b67fc068bb9095b194"),
     ])
     def test_digests(self, capsys, tmp_path, argv, csv_digest, manifest_digest):
         out_path = tmp_path / "out.csv"

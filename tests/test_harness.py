@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +134,10 @@ class TestSweeps:
         out = tmp_path / "exp1.csv"
         ecfg = ExperimentConfig(
             environment="skewed", policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
-            trials=3, base_seed=BASE_SEED, out=str(out),
+            trials=3, base_seed=BASE_SEED,
         )
         rows = run_sweep(ecfg)
+        out.write_text(summary_to_csv(rows))
         assert len(rows) == 4
         assert [(r.policy, r.delta) for r in rows] == [
             ("FullElim", 0.5), ("FullElim", 0.3), ("TaS", 0.5), ("TaS", 0.3),
@@ -152,21 +152,6 @@ class TestSweeps:
                        pytest.approx(r.error_rate), r.timeouts, r.trials, r.wrong)
             for r in rows
         ]
-
-    @pytest.mark.parametrize("target, error", [
-        ("missing/x.csv", FileNotFoundError),
-        ("dir", IsADirectoryError),
-    ])
-    def test_output_path_is_checked_before_any_trial(self, tmp_path, monkeypatch, target,
-                                                     error):
-        calls = []
-        monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: calls.append(args))
-        (tmp_path / "dir").mkdir()
-        out = str(tmp_path / target)
-        with pytest.raises(error, match=re.escape(repr(out))):
-            run_sweep(ExperimentConfig(environment="skewed", trials=50, max_steps=2000, out=out))
-        assert calls == []
-        assert list(tmp_path.rglob("*")) == [tmp_path / "dir"]
 
     def test_sweep_runs_every_cell_of_the_grids(self):
         rows = run_sweep(ExperimentConfig(
@@ -219,33 +204,28 @@ class TestSweeps:
         assert by_alpha[1.0].error_rate <= 0.1
         assert by_alpha[0.2].mean_tau < by_alpha[1.0].mean_tau
 
-    def test_reproducible_and_worker_count_independent(self, tmp_path):
+    def test_reproducible_and_worker_count_independent(self):
         csvs = []
-        for i, workers in enumerate((1, 1, 3)):
-            out = tmp_path / f"run{i}.csv"
-            run_sweep(ExperimentConfig(
+        for workers in (1, 1, 3):
+            csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
                 environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
-                trials=12, base_seed=BASE_SEED, workers=workers, out=str(out)))
-            csvs.append(out.read_bytes())
+                trials=12, base_seed=BASE_SEED, workers=workers))))
         assert csvs[0] == csvs[1] == csvs[2]
 
-    def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self, tmp_path):
+    def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self):
         # 7 trials per cell split each policy's batch across cell boundaries;
         # the cap times some trials out.
         # The confidence sweep's cells, then the aggressiveness sweep's.
-        for i, grids in enumerate((
+        for grids in (
                 dict(deltas=(0.3, 0.1, 0.05)),
-                dict(policies=("FullElim",), deltas=(0.3,), alphas=(0.5, 1.0)))):
+                dict(policies=("FullElim",), deltas=(0.3,), alphas=(0.5, 1.0))):
             csvs = []
             for workers in (1, 2):
-                out = tmp_path / f"sweep{i}-{workers}.csv"
-                run_sweep(ExperimentConfig(
+                csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
                     environment="degenerate", **grids,
-                    trials=7, base_seed=BASE_SEED, workers=workers, max_steps=400,
-                    out=str(out)))
-                csvs.append(out.read_bytes())
+                    trials=7, base_seed=BASE_SEED, workers=workers, max_steps=400))))
             assert csvs[0] == csvs[1]
-            assert any(int(line.split(",")[7]) for line in csvs[0].decode().splitlines()[1:])
+            assert any(int(line.split(",")[7]) for line in csvs[0].splitlines()[1:])
 
     def test_spawn_pool_matches_serial(self, monkeypatch):
         # A platform without fork: the pool falls back to the first listed
@@ -332,16 +312,14 @@ def batch_calls(monkeypatch):
 
 
 class TestRowCap:
-    def test_batches_are_capped_and_cover_every_worker(self, batch_calls, tmp_path):
+    def test_batches_are_capped_and_cover_every_worker(self, batch_calls):
         # One trial more per cell than ROW_CAP trials spread over the 8 cells.
         trials = harness.ROW_CAP // 8 + 1
         csvs = []
         for workers in (1, 2, 3):
-            out = tmp_path / f"w{workers}.csv"
-            run_sweep(ExperimentConfig(
+            csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
                 environment="skewed", deltas=(0.3, 0.1), trials=trials,
-                base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
-            csvs.append(out.read_bytes())
+                base_seed=BASE_SEED, workers=workers, max_steps=30))))
         assert csvs[0] == csvs[1] == csvs[2]
         assert [workers for workers, _ in batch_calls] == [1, 2, 3]
         for workers, batch in batch_calls:
@@ -351,31 +329,27 @@ class TestRowCap:
             assert max(batch) - min(batch) <= 1
         assert len(batch_calls[2][1]) == 3
 
-    def test_pool_opens_no_more_workers_than_batches(self, batch_calls, tmp_path):
+    def test_pool_opens_no_more_workers_than_batches(self, batch_calls):
         # At 3 workers, one cell of 1 or 2 trials makes only 1 or 2 batches.
         for trials in (1, 2):
             csvs = []
             for workers in (1, 3):
-                out = tmp_path / f"t{trials}w{workers}.csv"
-                run_sweep(ExperimentConfig(
+                csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
                     environment="skewed", policies=("TaS",), deltas=(0.1,), trials=trials,
-                    base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
-                csvs.append(out.read_bytes())
+                    base_seed=BASE_SEED, workers=workers, max_steps=30))))
             assert csvs[0] == csvs[1]
         assert batch_calls == [(1, [1]), (1, [1]), (1, [2]), (2, [1, 1])]
 
-    def test_a_pool_worker_runs_two_batches(self, batch_calls, tmp_path):
+    def test_a_pool_worker_runs_two_batches(self, batch_calls):
         # Three batches on two workers: one worker runs two of them, each on
         # the oracle cache its own run_trials call builds.  One trial more per
         # cell than two ROW_CAPs of trials spread over the 8 cells.
         trials = 2 * harness.ROW_CAP // 8 + 1
         csvs = []
         for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
-            run_sweep(ExperimentConfig(
+            csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
                 environment="skewed", deltas=(0.3, 0.1), trials=trials,
-                base_seed=BASE_SEED, workers=workers, max_steps=30, out=str(out)))
-            csvs.append(out.read_bytes())
+                base_seed=BASE_SEED, workers=workers, max_steps=30))))
         assert csvs[0] == csvs[1]
         assert [(workers, len(batch)) for workers, batch in batch_calls] == [(1, 3), (2, 3)]
 
