@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trial = sub.add_parser("trial", parents=[env_flags, run_flags],
                              help="run a single seeded trial")
-    p_trial.add_argument("--policy", required=True, choices=POLICY_KINDS)
+    p_trial.add_argument("--policy", required=True, help="one of " + ", ".join(POLICY_KINDS))
     p_trial.add_argument("--delta", type=float, required=True, help="confidence level in (0,1)")
     p_trial.add_argument("--alpha", type=float, default=1.0, help="elimination aggressiveness in (0,1]")
 
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", parents=[env_flags, run_flags],
                             help="record one trial's internal dynamics")
-    p_diag.add_argument("--policy", default="FullElim", choices=POLICY_KINDS,
-                        help="policy of the recorded trial")
+    p_diag.add_argument("--policy", default="FullElim",
+                        help="policy of the recorded trial, one of " + ", ".join(POLICY_KINDS))
     p_diag.add_argument("--delta", type=float, default=0.1)
     p_diag.add_argument("--alpha", type=float, default=1.0)
     p_diag.add_argument("--out", required=True, help="trace JSON path")

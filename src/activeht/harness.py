@@ -39,7 +39,7 @@ class ExperimentConfig:
     The per-trial rules (policy, delta, alpha, b, c, max_steps) live in
     ``PolicyConfig``; construction checks them by building the config of
     every cell, so the cells it checks are the cells ``run_sweep`` runs.
-    Each grid entry is a cell coordinate, so no grid may repeat an entry.
+    Each grid entry labels its cell's table row, so no two may print alike.
     ``true_h`` must be an integer; its range is checked by ``run_trials``,
     which knows K.
     """
@@ -63,7 +63,7 @@ class ExperimentConfig:
             raise ValueError("policy, delta, and alpha grids must be nonempty")
         for name in ("policies", "deltas", "alphas"):
             grid = getattr(self, name)
-            if len(set(grid)) != len(grid):
+            if len(set(grid if name == "policies" else map(grid_label, grid))) != len(grid):
                 raise ValueError(f"{name} grid repeats an entry: {grid}")
         for kind, delta, alpha in product(self.policies, self.deltas, self.alphas):
             self.policy_config(kind, delta, alpha)
@@ -187,12 +187,14 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
+def grid_label(x: float) -> str:
+    """A delta or alpha as a table row prints it: 0.1 and 0.1000001 alike."""
+    return f"{x:g}"
+
+
 def summary_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.environment},{r.policy},{r.delta:g},{r.alpha:g},"
-            f"{r.mean_tau:.6f},{r.stderr_tau:.6f},{r.error_rate:.6f},"
-            f"{r.timeouts},{r.trials}"
-        )
+        lines.append(f"{r.environment},{r.policy},{grid_label(r.delta)},{grid_label(r.alpha)},"
+                     f"{r.mean_tau:.6f},{r.stderr_tau:.6f},{r.error_rate:.6f},{r.timeouts},{r.trials}")
     return "\n".join(lines) + "\n"

@@ -182,7 +182,7 @@ CLI_SURFACE = {
     },
     "trial": {
         **_ENV, **_RUN,
-        "--policy": (None, True, None, ("Greedy", "TaS", "StopElim", "FullElim")),
+        "--policy": (None, True, None, None),
         "--delta": (None, True, "float", None),
         "--alpha": (1.0, False, "float", None),
     },
@@ -198,7 +198,7 @@ CLI_SURFACE = {
     },
     "diagnose": {
         **_ENV, **_RUN,
-        "--policy": ("FullElim", False, None, ("Greedy", "TaS", "StopElim", "FullElim")),
+        "--policy": ("FullElim", False, None, None),
         "--delta": (0.1, False, "float", None),
         "--alpha": (1.0, False, "float", None),
         "--out": (None, True, None, None),
@@ -230,6 +230,12 @@ class TestParserSurface:
             for a in actions
         }
         assert table == CLI_SURFACE[command]
+
+    @pytest.mark.parametrize("command", ["trial", "diagnose"])
+    def test_policy_help_names_every_kind(self, command):
+        # PolicyConfig checks the kind; the help text still lists the kinds.
+        policy = next(a for a in _subparsers()[command]._actions if a.dest == "policy")
+        assert policy.help.endswith("one of Greedy, TaS, StopElim, FullElim")
 
 
 SMALL_SWEEP = ["--trials", "1", "--deltas", "0.1", "--policies", "TaS", "--max-steps", "50"]
@@ -288,6 +294,12 @@ class TestValidationRules:
         # A negative seed is named here, not left to numpy's message.
         (["trial", "--policy", "TaS", "--delta", "0.1", "--seed", "-5"], "seed"),
         (["diagnose", "--seed", "-5"], "seed"),
+        # Entries that print alike would label two rows alike.
+        (["exp1", "--trials", "3", "--policies", "TaS", "--deltas", "0.1,0.1000001"], "deltas"),
+        (["exp2", "--trials", "3", "--alphas", "0.5,0.5000001"], "alphas"),
+        # PolicyConfig is the one policy-kind rule, for every command.
+        (["trial", "--policy", "Nope", "--delta", "0.1"], "unknown policy kind 'Nope'"),
+        (["diagnose", "--policy", "Nope"], "unknown policy kind 'Nope'"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv
@@ -417,6 +429,14 @@ class TestTrial:
             "trial", "--env", "skewed", "--policy", "FullElim", "--delta", "0.2",
             "--seed", "5"])
         assert json.loads(out2) == doc
+
+    def test_proven_threshold_pair(self, capsys):
+        # b = 0 and c = log(K - 1), K = 5: the pair Ville's inequality proves.
+        argv = ["trial", "--env", "hard-weak", "--policy", "TaS", "--delta", "0.05",
+                "--seed", "3", "--b", "0", "--c", "1.3862943611198906"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert run_cli(capsys, argv) == (EXIT_OK, out, "")
 
 
 class TestExperiments:
