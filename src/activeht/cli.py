@@ -153,8 +153,7 @@ def _write_manifest(command: str, out: str, config: dict) -> None:
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _cmd_env(args) -> int:
-    env = load_environment(args.env)
+def _cmd_env(args, env) -> int:
     doc = {
         "name": env.name,
         "num_hypotheses": env.num_hypotheses,
@@ -167,10 +166,9 @@ def _cmd_env(args) -> int:
     return EXIT_OK
 
 
-def _cmd_solve_oracle(args) -> int:
+def _cmd_solve_oracle(args, env) -> int:
     from .oracle import oracle_allocation
 
-    env = load_environment(args.env)
     sol = oracle_allocation(env, args.h, args.opponents)
     doc = {
         "environment": env.name,
@@ -190,11 +188,10 @@ def _policy_config(args, kind: str):
                         b=args.b, c=args.c, max_steps=args.max_steps)
 
 
-def _cmd_trial(args) -> int:
+def _cmd_trial(args, env) -> int:
     from .engine import run_trial
 
     cfg = _policy_config(args, args.policy)
-    env = load_environment(args.env)
     result = run_trial(env, args.true_h, cfg, args.seed)
     doc = {
         "environment": env.name,
@@ -209,7 +206,7 @@ def _cmd_trial(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, env) -> int:
     """exp1 and exp2 differ only in the grids they build."""
     from .engine import resolve_config
     from .harness import ExperimentConfig, run_sweep, summary_to_csv
@@ -220,7 +217,7 @@ def _cmd_sweep(args) -> int:
     else:
         grids = dict(policies=("FullElim",), deltas=(args.delta,), alphas=tuple(args.alphas))
     ecfg = ExperimentConfig(
-        environment=load_environment(args.env), true_h=args.true_h, **grids,
+        environment=env, true_h=args.true_h, **grids,
         trials=args.trials, base_seed=args.seed, workers=args.workers,
         b=args.b, c=args.c, max_steps=args.max_steps)
     # c resolves from K alone, so the first cell's c is every cell's.
@@ -230,17 +227,15 @@ def _cmd_sweep(args) -> int:
     Path(args.out).write_text(csv)
     _write_manifest(args.command, args.out, {
         **asdict(ecfg), "out": args.out, "environment": args.env,
-        "c": resolve_config(first, ecfg.environment).c,
-        "environment_sha256": ecfg.environment.sha256()})
+        "c": resolve_config(first, env).c, "environment_sha256": env.sha256()})
     print(csv, end="")
     return EXIT_OK
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args, env) -> int:
     from .engine import resolve_config, run_trial
 
     cfg = _policy_config(args, args.policy)
-    env = load_environment(args.env)
     _check_outputs(args.out, args.plot_dir)
     trace = run_trial(env, args.true_h, cfg, args.seed, record_diagnostics=True).diagnostics
     Path(args.out).write_text(json.dumps(trace.to_document()) + "\n")
@@ -309,8 +304,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Every command loads --env here, first, so a bad one is the first fault.
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, load_environment(args.env))
     # ModelError and OracleError subclass ValueError.
     except (ValueError, IndexError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

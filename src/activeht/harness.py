@@ -17,7 +17,7 @@ from math import nan, sqrt
 
 from .defaults import ALPHA_GRID, DEFAULT_B, DELTA_GRID, POLICY_KINDS
 from .engine import PolicyConfig, TrialResult, _integer_field, run_trials
-from .model import Environment, load_environment
+from .model import Environment
 from .oracle import OracleCache
 
 # Most rows in one lockstep batch.  A row holds about 6 KB (its 512-draw
@@ -33,8 +33,9 @@ CSV_HEADER = "environment,policy,delta,alpha,mean_tau,stderr_tau,error_rate,time
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs.  Its cells are every (policy, delta, alpha)
-    of the three grids; the default grids are the confidence sweep's.
+    """Everything a sweep needs, its ``environment`` already built.  Its
+    cells are every (policy, delta, alpha) of the three grids; the default
+    grids are the confidence sweep's.
 
     The per-trial rules (policy, delta, alpha, b, c, max_steps) live in
     ``PolicyConfig``; construction checks them by building the config of
@@ -44,7 +45,7 @@ class ExperimentConfig:
     which knows K.
     """
 
-    environment: str | Environment
+    environment: Environment
     true_h: int = 0
     policies: tuple[str, ...] = POLICY_KINDS
     deltas: tuple[float, ...] = DELTA_GRID
@@ -57,6 +58,9 @@ class ExperimentConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        if not isinstance(self.environment, Environment):
+            raise ValueError(f"environment must be an Environment, as load_environment "
+                             f"builds one, got {self.environment!r}")
         for name, minimum in (("trials", 1), ("workers", 1), ("true_h", None), ("base_seed", None)):
             _integer_field(self, name, minimum)
         if not self.deltas or not self.alphas or not self.policies:
@@ -166,9 +170,9 @@ def run_sweep(ecfg: ExperimentConfig) -> list[SummaryRow]:
     The trials, in cell order, are split into near-equal contiguous lockstep
     batches of at most ``ROW_CAP`` rows, one per worker at least (while
     there are enough trials); the pool opens no more workers than batches.
-    It writes no file: ``summary_to_csv`` formats the rows as a table.
+    It reads and writes no file: ``summary_to_csv`` formats the rows as a table.
     """
-    env = load_environment(ecfg.environment)
+    env = ecfg.environment
     cells = list(product(ecfg.policies, ecfg.deltas, ecfg.alphas))
     cfgs, seeds = [], []
     for cell in cells:

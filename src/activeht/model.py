@@ -189,10 +189,8 @@ def load_environment(source) -> Environment:
     The document format is a JSON object with fields ``name``, ``means``
     (actions as rows) and optional ``sigma`` (default 1.0).  A document in
     which no action separates some hypothesis pair is rejected.  Presets are
-    trusted and load as published, and an Environment is returned as built.
+    trusted and load as published.
     """
-    if isinstance(source, Environment):
-        return source
     if isinstance(source, str) and source in _PRESET_TABLES:
         return Environment(name=source, means=_PRESET_TABLES[source], sigma=1.0)
     env = _environment_from_document(_read_document(source))

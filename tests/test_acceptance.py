@@ -282,11 +282,11 @@ def test_criterion_8_diagnostics_staircase(skewed, caches):
     assert ok
 
 
-def test_criterion_9_worker_determinism():
+def test_criterion_9_worker_determinism(skewed):
     outputs = []
     for workers in (1, 8, 1):
         outputs.append(summary_to_csv(run_sweep(ExperimentConfig(
-            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
+            environment=skewed, policies=("TaS", "FullElim"), deltas=(0.3,),
             trials=24, base_seed=BASE_SEED, workers=workers))))
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(9, ok, "delta-sweep CSV byte-identical across 1, 8, and 1 workers")

@@ -300,6 +300,11 @@ class TestValidationRules:
         # PolicyConfig is the one policy-kind rule, for every command.
         (["trial", "--policy", "Nope", "--delta", "0.1"], "unknown policy kind 'Nope'"),
         (["diagnose", "--policy", "Nope"], "unknown policy kind 'Nope'"),
+        # Every command loads --env first, so a bad one is named before the
+        # policy or the confidence level.
+        (["trial", "--env", "nope", "--policy", "Nope", "--delta", "0.1"],
+         "neither a preset name"),
+        (["diagnose", "--env", "nope", "--delta", "2"], "neither a preset name"),
     ])
     def test_rejected(self, capsys, tmp_path, argv, field):
         command, *flags = argv

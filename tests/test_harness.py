@@ -119,21 +119,27 @@ class TestConfigValidation:
         {"true_h": 1.5},
         {"base_seed": 1.5},
     ])
-    def test_bad_configs_rejected(self, kwargs):
+    def test_bad_configs_rejected(self, skewed, kwargs):
         with pytest.raises(ValueError):
-            ExperimentConfig(environment="skewed", **kwargs)
+            ExperimentConfig(environment=skewed, **kwargs)
 
-    def test_counts_stored_as_ints(self):
-        ecfg = ExperimentConfig(environment="skewed", trials=np.int64(3), workers=np.int32(2))
+    def test_environment_is_a_loaded_environment(self):
+        # The harness reads no file: a preset name is not an Environment.
+        with pytest.raises(ValueError, match="load_environment"):
+            ExperimentConfig(environment="skewed")
+        assert not hasattr(harness, "load_environment")
+
+    def test_counts_stored_as_ints(self, skewed):
+        ecfg = ExperimentConfig(environment=skewed, trials=np.int64(3), workers=np.int32(2))
         assert type(ecfg.trials) is int and ecfg.trials == 3
         assert type(ecfg.workers) is int and ecfg.workers == 2
 
 
 class TestSweeps:
-    def test_delta_sweep_shape_and_order(self, tmp_path):
+    def test_delta_sweep_shape_and_order(self, skewed, tmp_path):
         out = tmp_path / "exp1.csv"
         ecfg = ExperimentConfig(
-            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
+            environment=skewed, policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
             trials=3, base_seed=BASE_SEED,
         )
         rows = run_sweep(ecfg)
@@ -153,18 +159,18 @@ class TestSweeps:
             for r in rows
         ]
 
-    def test_sweep_runs_every_cell_of_the_grids(self):
+    def test_sweep_runs_every_cell_of_the_grids(self, skewed):
         rows = run_sweep(ExperimentConfig(
-            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
+            environment=skewed, policies=("TaS", "FullElim"), deltas=(0.5, 0.3),
             alphas=(1.0, 0.5), trials=2, base_seed=BASE_SEED))
         assert [(r.policy, r.delta, r.alpha) for r in rows] == [
             (kind, delta, alpha) for kind in ("FullElim", "TaS")
             for delta in (0.5, 0.3) for alpha in (0.5, 1.0)]
-        assert ExperimentConfig(environment="skewed").alphas == (1.0,)
+        assert ExperimentConfig(environment=skewed).alphas == (1.0,)
         assert activeht.run_delta_sweep is activeht.run_sweep
 
-    def test_alpha_sweep_alpha_one_row_matches_delta_sweep_cell(self):
-        common = dict(environment="skewed", trials=25, base_seed=BASE_SEED)
+    def test_alpha_sweep_alpha_one_row_matches_delta_sweep_cell(self, skewed):
+        common = dict(environment=skewed, trials=25, base_seed=BASE_SEED)
         d_rows = run_sweep(ExperimentConfig(
             policies=("FullElim",), deltas=(0.1,), **common))
         a_rows = run_sweep(ExperimentConfig(
@@ -179,32 +185,32 @@ class TestSweeps:
     def test_delta_sweep_alpha_one_error_within_pac_band(self, skewed):
         trials = 150
         rows = run_sweep(ExperimentConfig(
-            environment="skewed", policies=("FullElim",), deltas=(0.1,),
+            environment=skewed, policies=("FullElim",), deltas=(0.1,),
             trials=trials, base_seed=BASE_SEED))
         delta = 0.1
         band = delta + 3 * math.sqrt(delta * (1 - delta) / trials)
         assert rows[0].error_rate <= band
 
-    def test_elimination_beats_baseline_on_skewed(self):
+    def test_elimination_beats_baseline_on_skewed(self, skewed):
         rows = run_sweep(ExperimentConfig(
-            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.05,),
+            environment=skewed, policies=("TaS", "FullElim"), deltas=(0.05,),
             trials=150, base_seed=BASE_SEED))
         by_policy = {r.policy: r for r in rows}
         assert by_policy["FullElim"].mean_tau < by_policy["TaS"].mean_tau
 
-    def test_alpha_sweep_tradeoff_on_hard_weak(self):
+    def test_alpha_sweep_tradeoff_on_hard_weak(self, hard_weak):
         # Aggressive elimination trades reliability for speed: at the most
         # aggressive setting the error rate overshoots the nominal budget,
         # and the stopping time grows back as alpha approaches 1.
         rows = run_sweep(ExperimentConfig(
-            environment="hard-weak", policies=("FullElim",), deltas=(0.1,), alphas=(0.2, 1.0),
+            environment=hard_weak, policies=("FullElim",), deltas=(0.1,), alphas=(0.2, 1.0),
             trials=200, base_seed=BASE_SEED))
         by_alpha = {r.alpha: r for r in rows}
         assert by_alpha[0.2].error_rate > 0.1
         assert by_alpha[1.0].error_rate <= 0.1
         assert by_alpha[0.2].mean_tau < by_alpha[1.0].mean_tau
 
-    def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self):
+    def test_two_worker_sweeps_equal_the_serial_sweeps_byte_for_byte(self, degenerate):
         # 7 trials per cell split each policy's batch across cell boundaries;
         # the cap times some trials out.
         # The confidence sweep's cells, then the aggressiveness sweep's.
@@ -214,12 +220,12 @@ class TestSweeps:
             csvs = []
             for workers in (1, 2):
                 csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
-                    environment="degenerate", **grids,
+                    environment=degenerate, **grids,
                     trials=7, base_seed=BASE_SEED, workers=workers, max_steps=400))))
             assert csvs[0] == csvs[1]
             assert any(int(line.split(",")[7]) for line in csvs[0].splitlines()[1:])
 
-    def test_spawn_pool_matches_serial(self, monkeypatch):
+    def test_spawn_pool_matches_serial(self, skewed, monkeypatch):
         # A platform without fork: the pool falls back to the first listed
         # method, and spawned workers rebuild each job's environment.
         used = []
@@ -228,14 +234,14 @@ class TestSweeps:
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: used.append(method) or get_context(method))
         rows = [run_sweep(ExperimentConfig(
-            environment="skewed", policies=("TaS", "FullElim"), deltas=(0.3,),
+            environment=skewed, policies=("TaS", "FullElim"), deltas=(0.3,),
             trials=8, base_seed=BASE_SEED, workers=workers)) for workers in (1, 2)]
         assert used == ["spawn"]
         assert rows[0] == rows[1]
 
 
 class TestSerialSweep:
-    def test_oracle_solves_only_the_sets_running_trials_track(self, monkeypatch):
+    def test_oracle_solves_only_the_sets_running_trials_track(self, skewed, monkeypatch):
         # exp1-sized serial sweeps: solving a set that no running trial
         # tracks (every candidate's full set up front, or a finished trial's
         # set) raises these counts.
@@ -243,7 +249,7 @@ class TestSerialSweep:
         solve = oracle.oracle_allocation
         monkeypatch.setattr(oracle, "oracle_allocation",
                             lambda env, h, S: solves.append((h, S)) or solve(env, h, S))
-        run_sweep(ExperimentConfig(environment="skewed", trials=20))
+        run_sweep(ExperimentConfig(environment=skewed, trials=20))
         assert len(solves) == 32
         solves.clear()
         means = np.random.default_rng(0).uniform(0.0, 1.0, (24, 24))
@@ -256,9 +262,9 @@ class TestSerialSweep:
         # since this one has imported it.
         code = ("import sys\n"
                 "import activeht.cli\n"
-                "from activeht import ExperimentConfig, run_sweep\n"
-                "run_sweep(ExperimentConfig(environment='skewed', policies=('FullElim',),\n"
-                "                           deltas=(0.1,), trials=2))\n"
+                "from activeht import ExperimentConfig, load_environment, run_sweep\n"
+                "run_sweep(ExperimentConfig(environment=load_environment('skewed'),\n"
+                "                           policies=('FullElim',), deltas=(0.1,), trials=2))\n"
                 "sys.exit('multiprocessing' in sys.modules)\n")
         done = run_fresh_python(code)
         assert done.returncode == 0, done.stderr
@@ -304,13 +310,13 @@ def batch_calls(monkeypatch):
 
 
 class TestRowCap:
-    def test_batches_are_capped_and_cover_every_worker(self, batch_calls):
+    def test_batches_are_capped_and_cover_every_worker(self, skewed, batch_calls):
         # One trial more per cell than ROW_CAP trials spread over the 8 cells.
         trials = harness.ROW_CAP // 8 + 1
         csvs = []
         for workers in (1, 2, 3):
             csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
-                environment="skewed", deltas=(0.3, 0.1), trials=trials,
+                environment=skewed, deltas=(0.3, 0.1), trials=trials,
                 base_seed=BASE_SEED, workers=workers, max_steps=30))))
         assert csvs[0] == csvs[1] == csvs[2]
         assert [workers for workers, _ in batch_calls] == [1, 2, 3]
@@ -321,18 +327,18 @@ class TestRowCap:
             assert max(batch) - min(batch) <= 1
         assert len(batch_calls[2][1]) == 3
 
-    def test_pool_opens_no_more_workers_than_batches(self, batch_calls):
+    def test_pool_opens_no_more_workers_than_batches(self, skewed, batch_calls):
         # At 3 workers, one cell of 1 or 2 trials makes only 1 or 2 batches.
         for trials in (1, 2):
             csvs = []
             for workers in (1, 3):
                 csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
-                    environment="skewed", policies=("TaS",), deltas=(0.1,), trials=trials,
+                    environment=skewed, policies=("TaS",), deltas=(0.1,), trials=trials,
                     base_seed=BASE_SEED, workers=workers, max_steps=30))))
             assert csvs[0] == csvs[1]
         assert batch_calls == [(1, [1]), (1, [1]), (1, [2]), (2, [1, 1])]
 
-    def test_a_pool_worker_runs_two_batches(self, batch_calls):
+    def test_a_pool_worker_runs_two_batches(self, skewed, batch_calls):
         # Three batches on two workers: one worker runs two of them, each on
         # the oracle cache its own run_trials call builds.  One trial more per
         # cell than two ROW_CAPs of trials spread over the 8 cells.
@@ -340,7 +346,7 @@ class TestRowCap:
         csvs = []
         for workers in (1, 2):
             csvs.append(summary_to_csv(run_sweep(ExperimentConfig(
-                environment="skewed", deltas=(0.3, 0.1), trials=trials,
+                environment=skewed, deltas=(0.3, 0.1), trials=trials,
                 base_seed=BASE_SEED, workers=workers, max_steps=30))))
         assert csvs[0] == csvs[1]
         assert [(workers, len(batch)) for workers, batch in batch_calls] == [(1, 3), (2, 3)]

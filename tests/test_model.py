@@ -111,10 +111,9 @@ def test_load_sources(tmp_path, skewed):
     from_text = load_environment(json.dumps(doc))
     assert from_text == from_file
 
-    assert load_environment(skewed) is skewed
-    # An Environment is returned as built, even with a collapsed pair.
-    built = Environment(name="pair", means=((0.3, 0.3), (0.7, 0.7)))
-    assert load_environment(built) is built
+    # An Environment is no document: it fails as load_environment(42) does.
+    with pytest.raises(TypeError, match="the JSON object must be str"):
+        load_environment(skewed)
     with pytest.raises(MalformedDocumentError):
         load_environment("no-such-preset-or-file")
     with pytest.raises(MalformedDocumentError):
