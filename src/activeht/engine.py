@@ -17,13 +17,13 @@ Trials are pure functions of (environment, true hypothesis, config, seed).
 
 ``run_trials`` runs a batch of R trials in lockstep, of any mix of policy
 kinds: the state is a set of numpy arrays with one row per trial
-(log-likelihoods (R, K), counts and cumulative targets (R, A), champions
-(R,), active sets (R, K, K), opponent-set ids (R, K)).  Rows sit in
-contiguous kind slices, ordered as ``POLICY_KINDS``, and each rule runs on
-the slices of the kinds it belongs to (C-tracking on TaS/StopElim/FullElim,
-the greedy pick on Greedy, the stop rule on Greedy/TaS, elimination on
-StopElim/FullElim); the kinds share t, since they share b, c and
-max_steps.  A finished trial's result is recorded at once, and its row is
+(log-likelihoods (R, K), counts and cumulative targets (R, A), all float64,
+champions (R,), active sets (R, K, K), opponent-set ids (R, K)).  Rows sit
+in contiguous kind slices, ordered as ``POLICY_KINDS``, and each rule runs
+on the slices of the kinds it belongs to (C-tracking on TaS/StopElim/
+FullElim, the greedy pick on Greedy, the stop rule on Greedy/TaS,
+elimination on StopElim/FullElim); the kinds share t, since they share b, c
+and max_steps.  A finished trial's result is recorded at once, and its row is
 compacted out once finished rows are a fixed share of the batch or fill a
 whole kind slice.  Every operation is elementwise or a per-row reduction,
 so each row is bit-identical to the trial run on its own, and results do
@@ -62,11 +62,12 @@ tests.  An event is a change of a Greedy row's pair or a tracking row's
 champion, a stop, or an elimination.  The batch advances to the first step
 at which a running row has one, and the champion, stop and elimination
 rules run there as after a single step.  A block never crosses the end of a
-noise block or the step cap and spans at most ``_RNG_BLOCK // K`` steps
-(``_RNG_BLOCK // max(K, A)`` while tracking rows are in the batch).  It
-opens once the batch has gone ``_QUIET_STEPS`` steps without an event, and
-spans as many steps as the batch has been quiet, so a batch with events
-every few steps keeps taking single steps.
+noise block or the step cap and spans at most ``_RNG_BLOCK // max(K, A)``
+steps, whatever its kinds, so its (K, span, R) log-likelihoods and (span, R,
+A) targets stay about the size of the noise block; its rows come out the
+same at any span.  It opens once the batch has gone ``_QUIET_STEPS`` steps
+without an event, and spans as many steps as the batch has been quiet, so a
+batch with events every few steps keeps taking single steps.
 
 ``run_trial`` is the R = 1 call, and ``record_diagnostics`` records its
 rounds in the same loop, one step at a time.  Outside a block, a lone trial
@@ -397,7 +398,7 @@ def run_trials(
         level=np.array([log(1.0 / cfgs[j].delta) * (cfgs[j].alpha if r >= s else 1.0)
                         for r, j in enumerate(order)]),
         loglik=np.zeros((n, k)),
-        counts=np.zeros((n, num_actions), dtype=np.int64),
+        counts=np.zeros((n, num_actions)),
         target=np.zeros((n, num_actions)),
         champion=np.zeros(n, dtype=np.intp),
         # set_ids[r, h]: the table id of candidate h's opponent set.
@@ -412,6 +413,7 @@ def run_trials(
     # The batch's steps in a row without an event.
     quiet = 0
     hypotheses = np.arange(k)[:, None, None]
+    span_cap = max(_RNG_BLOCK // max(k, num_actions), 1)
 
     while running:
         # Compaction replaces the row arrays: the row offsets and the views
@@ -429,10 +431,8 @@ def run_trials(
         stop_loglik, rival = rows.loglik[:s], rows.rival[:s]
         stop_k = row_k[:s]
         # A small batch runs ahead (see the module docstring); a recorded trial
-        # takes single steps.  A block's (K, span, rows) log-likelihoods and
-        # (span, rows, A) targets stay about the size of the noise block.
+        # takes single steps.
         run_ahead = trace is None and n * k <= _RUN_AHEAD_CELLS
-        span_cap = max(_RNG_BLOCK // (k if g == n else max(k, num_actions)), 1)
         pair = None
         compact = False
         while not compact:
@@ -665,9 +665,7 @@ def _track_ahead(target, counts, weights, t, span):
     np.add.accumulate(targets, axis=0, out=targets)
     targets = targets[1:]
     actions = np.empty((span, num_rows), dtype=np.intp)
-    # Float counts are exact and subtract the same as the integer ones, and
-    # faster.
-    taken = counts.astype(float)
+    taken = counts.copy()
     at = np.arange(num_rows) * num_actions
     deficit = np.empty_like(target)
     for j in range(span):
@@ -683,7 +681,7 @@ def _record_round(trace, env, cfg, cache, t, rows, removed):
     never eliminate, so their survivors are every opponent."""
     ch = int(rows.champion[0])
     loglik = rows.loglik[0].tolist()
-    counts = rows.counts[0].tolist()
+    counts = [int(x) for x in rows.counts[0].tolist()]
     level = loglik[ch]
     survivors = rows.active[0, ch].nonzero()[0].tolist()
     pre_set = survivors + removed

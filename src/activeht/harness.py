@@ -41,8 +41,8 @@ class ExperimentConfig:
     ``PolicyConfig``; construction checks them by building the config of
     every cell, so the cells it checks are the cells ``run_sweep`` runs.
     Each grid entry labels its cell's table row, so no two may print alike.
-    ``true_h`` must be an integer; its range is checked by ``run_trials``,
-    which knows K.
+    ``true_h`` must be an integer; its range is checked once, in
+    ``run_trials``, before any trial.
     """
 
     environment: Environment

@@ -8,6 +8,7 @@ import pytest
 
 from activeht import (
     POLICY_KINDS,
+    Environment,
     OracleCache,
     PolicyConfig,
     ctrack_select,
@@ -592,9 +593,15 @@ class TestRunAhead:
     @pytest.mark.parametrize("max_steps", [511, 512, 513, 777])
     def test_greedy_batches_match_the_replay_at_caps_near_the_noise_block(
             self, degenerate, caches, max_steps):
+        # degenerate plus three uninformative actions has A = 8 > K = 5, so
+        # its Greedy blocks span at most 512 // A steps, not 512 // K.  Greedy
+        # never picks those actions, so its trials are degenerate's.
+        # Environment keeps the collapsed pair load_environment rejects.
+        wide = Environment("degenerate-wide", degenerate.means + ((0.5,) * 5,) * 3)
         cfgs, seeds = _mixed_batch("Greedy", range(BASE_SEED, BASE_SEED + 16), max_steps)
         got = self._check_batches(degenerate, 0, cfgs, seeds, caches["degenerate"], 16)
         assert any(r.timed_out for r in got)
+        assert self._check_batches(wide, 0, cfgs, seeds, OracleCache(wide), 16) == got
 
     def test_greedy_runs_to_the_cli_cap(self, degenerate, caches):
         cfgs, seeds = _mixed_batch("Greedy", range(BASE_SEED, BASE_SEED + 3), 20_000)
@@ -707,14 +714,15 @@ class TestRunAhead:
         # along the step axis, in place; its actions follow them.  The step
         # loop adds one increment at a time and picks each action from the
         # counts so far.  Both agree bit for bit, with the floor active on
-        # some rows (min(w) = 0 or small) and idle on others.
+        # some rows (min(w) = 0 or small) and idle on others.  Counts are
+        # float64, as the engine holds them.
         rng = np.random.default_rng(BASE_SEED)
         for rows, num_actions, t, span in ((7, 5, 0, 60), (3, 24, 1000, 21), (1, 2, 7, 200)):
             weights = rng.dirichlet(np.full(num_actions, 0.3), rows)
             weights[0] = 0.0
             weights[0, -1] = 1.0
             wmin = weights.min(axis=1)
-            counts = rng.integers(0, t + 1, (rows, num_actions))
+            counts = rng.integers(0, t + 1, (rows, num_actions)).astype(float)
             target = counts + rng.uniform(-1, 1, (rows, num_actions))
             actions, targets = _track_ahead(target, counts, weights, t, span)
             for j, u in enumerate(range(t, t + span)):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -338,6 +339,63 @@ class TestPinnedRandomFamily:
                     out = type(exc).__name__
                 digest.update(out.encode() + b"\n")
         assert digest.hexdigest() == PINNED_FAMILY_SHA256
+
+
+# For each preset: how many (h, S) targets have a nonzero max-min rate, and
+# by candidate h, those targets that TestNonUniqueOptima finds a second
+# optimal allocation for, each opponent set S written as its digits
+# ("13" is S = {1, 3}).
+NON_UNIQUE_TARGETS = {
+    "skewed": (75, {0: "1 13", 1: "0 2 02 03 04 23 24 023 024 034 234 0234",
+                    2: "1 01 13 14 013 014 134 0134"}),
+    "hard-weak": (75, {0: "2", 1: "3 234", 2: "0 3 03 13 013 034",
+                       3: "1 2 01 04 12 012 124 0124"}),
+    "degenerate": (59, {0: "1 2 12", 1: "0 2 3 4 02 03 04 23 24 34 023 024 034 234 0234",
+                        2: "0 1 3 4 01 03 04 13 14 34 013 014 034 134 0134",
+                        3: "1 2 01 02 12 012", 4: "1 2 01 02 12 012"}),
+}
+
+
+class TestNonUniqueOptima:
+    """The preset targets whose max-min optimum is not unique, so that the
+    allocation the lab tracks there is one of several, picked by the
+    simplex's pivot path.
+
+    For each action the returned allocation puts weight on, the target is
+    solved again on the environment without that action.  If that reaches
+    the returned rate (within 1e-12, relative), an optimal allocation with
+    no weight on the action exists: a second optimum.  The check is
+    sufficient but not necessary: a second optimum on the same actions as
+    the returned one is not found.
+    """
+
+    @pytest.mark.parametrize("name", sorted(NON_UNIQUE_TARGETS))
+    def test_targets_with_a_second_optimum(self, request, name):
+        env = request.getfixturevalue(name.replace("-", "_"))
+        k = env.num_hypotheses
+        without = [Environment(name, env.means[:a] + env.means[a + 1:], env.sigma)
+                   for a in range(env.num_actions)]
+
+        def reaches(a, h, S, rate):
+            try:
+                return oracle_allocation(without[a], h, S).rate >= rate * (1.0 - 1e-12)
+            except DegenerateInstanceError:
+                return False
+
+        solved, found = 0, {}
+        for h in range(k):
+            others = [g for g in range(k) if g != h]
+            for S in (S for size in range(1, k) for S in combinations(others, size)):
+                try:
+                    sol = oracle_allocation(env, h, S)
+                except DegenerateInstanceError:
+                    continue
+                solved += 1
+                if any(w > 0.0 and reaches(a, h, S, sol.rate)
+                       for a, w in enumerate(sol.allocation.weights)):
+                    found.setdefault(h, []).append("".join(map(str, S)))
+        assert (solved, {h: " ".join(sets) for h, sets in found.items()}) == \
+            NON_UNIQUE_TARGETS[name]
 
 
 class TestStructuralProperties:
