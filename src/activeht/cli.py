@@ -14,7 +14,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -208,6 +207,7 @@ def _cmd_trial(args, env) -> int:
 
 def _cmd_sweep(args, env) -> int:
     """exp1 and exp2 differ only in the grids they build."""
+    from dataclasses import asdict  # here, so that the light commands do not load it
     from .engine import resolve_config
     from .harness import ExperimentConfig, run_sweep, summary_to_csv
 
@@ -233,6 +233,7 @@ def _cmd_sweep(args, env) -> int:
 
 
 def _cmd_diagnose(args, env) -> int:
+    from dataclasses import asdict
     from .engine import resolve_config, run_trial
 
     cfg = _policy_config(args, args.policy)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
 from pathlib import Path
@@ -31,12 +30,13 @@ class IdentifiabilityError(ModelError):
     """Some hypothesis pair cannot be distinguished by any action."""
 
 
-@dataclass(frozen=True)
 class Environment:
     """Immutable problem instance.
 
     Construction checks shapes and ranges only: hypothesis pairs that no
     action separates are allowed, and ``load_environment`` rejects them.
+    Equality, hashing and repr go by (name, means, sigma), as a frozen
+    dataclass's do; a plain class, so ``activeht env`` loads no dataclasses.
 
     Attributes:
         name: human-readable label, carried into result tables as a CSV
@@ -45,26 +45,20 @@ class Environment:
         sigma: common observation noise standard deviation (> 0), a float.
     """
 
-    name: str
-    means: tuple[tuple[float, ...], ...]
-    sigma: float = 1.0
-
-    def __post_init__(self):
+    def __init__(self, name: str, means: tuple[tuple[float, ...], ...], sigma: float = 1.0):
         # The only reader of means and sigma; documents get the same checks.
-        if not isinstance(self.means, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in self.means
+        if not isinstance(means, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in means
         ):
             raise MalformedDocumentError("'means' must be a list of per-action rows")
         rows = tuple(tuple(_number(x, f"means[{a}][{h}]") for h, x in enumerate(row))
-                     for a, row in enumerate(self.means))
-        sigma = _number(self.sigma, "sigma")
-        object.__setattr__(self, "means", rows)
-        object.__setattr__(self, "sigma", sigma)
-        if not isinstance(self.name, str):
-            raise MalformedDocumentError(f"environment name must be a string, got {self.name!r}")
-        if any(ch in self.name for ch in ",\n\r"):
+                     for a, row in enumerate(means))
+        sigma = _number(sigma, "sigma")
+        if not isinstance(name, str):
+            raise MalformedDocumentError(f"environment name must be a string, got {name!r}")
+        if any(ch in name for ch in ",\n\r"):
             raise MalformedDocumentError(
-                f"environment name {self.name!r} must not contain a comma or line break")
+                f"environment name {name!r} must not contain a comma or line break")
         if not rows or not rows[0]:
             raise MalformedDocumentError("means matrix must be non-empty")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -82,11 +76,30 @@ class Environment:
         # Rounding is monotone: a row's widest gap gives its largest divergence.
         if not all(isfinite(_divergence(max(row) - min(row), sigma)) for row in rows):
             raise MalformedDocumentError("means gaps overflow the divergence table")
+        self.__dict__.update(name=name, means=rows, sigma=sigma)
+
+    def _fields(self) -> tuple:
+        return self.name, self.means, self.sigma
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Environment(name={!r}, means={!r}, sigma={!r})".format(*self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # Rebuilt from its fields, so a copy sent to a pool worker carries no
         # cached table and builds its own read-only ones.
-        return Environment, (self.name, self.means, self.sigma)
+        return Environment, self._fields()
 
     @property
     def num_actions(self) -> int:

@@ -14,6 +14,7 @@ import pytest
 
 from activeht import (
     ExperimentConfig,
+    OracleCache,
     PolicyConfig,
     aggregate,
     load_environment,
@@ -25,7 +26,10 @@ from activeht import (
     worst_case_rate,
 )
 
+from activeht.defaults import DEFAULT_B, DEFAULT_C_OFFSET
+from activeht.harness import ROW_CAP
 from conftest import BASE_SEED, certified_allocation
+from k2_reference import tas_actions, tas_k2_law
 from summary_rows import capped_mean_tau, failure_rate
 
 DELTA_GRID = (0.1, 0.05, 0.01, 0.005, 0.001)
@@ -199,6 +203,15 @@ def test_criterion_5_degenerate_separation(mc):
 
 
 def test_criterion_6_alpha_tradeoff(mc):
+    """FullElim on ``skewed`` at delta = 0.1: as alpha grows, mean tau rises
+    and the error rate falls.
+
+    The bound err(alpha = 1) <= 0.01 measures the default threshold's
+    calibration on this cell; it is not a delta-PAC bound, which would be
+    delta**alpha = 0.1 (the proven pair reads 0.058 here).  It sits about one
+    standard error (0.003) above today's 0.007, so a change that moves the
+    oracle's optimal vertex or the default threshold has to restate it.
+    """
     delta = 0.1
     rows = [mc("skewed", "FullElim", delta, alpha, 1000) for alpha in ALPHA_GRID]
     taus = [r.mean_tau for r in rows]
@@ -375,3 +388,65 @@ def test_proven_threshold_bounds_elimination_errors_by_delta_to_alpha():
     print(f"[proven threshold, FullElim, alpha = {alpha}] {failures} of {trials} failed, "
           f"Clopper-Pearson upper bound {upper:.4f} against delta**alpha = {delta**alpha:.4f}")
     assert upper <= delta**alpha
+
+
+def _k2_thresholds(env, pair, delta):
+    """(config, b, c) of a TaS trial under the default or the proven
+    threshold pair; b and c are formed here, not by the engine."""
+    if pair == "default":
+        return (PolicyConfig(kind="TaS", delta=delta, max_steps=20_000),
+                DEFAULT_B, math.log(max(env.num_hypotheses - 1, 4)) + DEFAULT_C_OFFSET)
+    return _proven(env, "TaS", delta), 0.0, math.log(env.num_hypotheses - 1)
+
+
+def test_k2_tas_actions_are_the_same_on_every_path():
+    # The exact K = 2 law rests on this: every trial's counts, round by
+    # round, are the ones C-tracking's floor gives the shared target.
+    env = load_environment(K2_BREACH)
+    cfg, _, _ = _k2_thresholds(env, "default", 0.001)
+    for seed in range(40_000, 40_020):
+        trace = run_trial(env, 0, cfg, seed, record_diagnostics=True).diagnostics
+        counts = [0] * env.num_actions
+        for a, seen in zip(tas_actions(env, 0), trace.counts):
+            counts[a] += 1
+            assert counts == seen, seed
+
+
+# TaS on K2_BREACH, true h = 0, cap 20,000: (P(wrong stop), E[tau | stop]) from
+# an independent 12,001-point grid (ROADMAP, "Earlier findings").
+K2_EXACT = {("default", 0.1): (0.02159, 12.066), ("default", 0.001): (7.3e-5, 27.99),
+            ("proven", 0.1): (0.0568, 7.88), ("proven", 0.001): (5.98e-4, 21.94)}
+
+
+@pytest.mark.parametrize("pair, delta", list(K2_EXACT), ids=[f"{p}-{d}" for p, d in K2_EXACT])
+def test_tas_matches_the_exact_k2_law(pair, delta):
+    env = load_environment(K2_BREACH)
+    cfg, b, c = _k2_thresholds(env, pair, delta)
+    coarse, law = (tas_k2_law(env, 0, delta, b, c, cfg.max_steps, dx) for dx in (0.02, 0.01))
+    assert abs(law["wrong"] - coarse["wrong"]) <= 1e-4
+    assert abs(law["mean_tau"] - coarse["mean_tau"]) <= 0.02
+    assert abs(law["correct"] + law["wrong"] + law["timeout"] - 1.0) <= 1e-12
+    assert law["timeout"] <= 1e-13
+    wrong, mean_tau = K2_EXACT[pair, delta]
+    assert law["wrong"] == pytest.approx(wrong, rel=5e-3)
+    assert law["mean_tau"] == pytest.approx(mean_tau, abs=0.01)
+
+    # Held-out seeds, in lockstep batches of at most ROW_CAP rows as run_sweep
+    # splits them.
+    seeds = range(500_000, 520_000)
+    cache = OracleCache(env)
+    results = [r for lo in range(0, len(seeds), ROW_CAP)
+               for r in run_trials(env, 0, [cfg] * len(seeds[lo:lo + ROW_CAP]),
+                                   seeds[lo:lo + ROW_CAP], cache=cache)]
+    assert not any(r.timed_out for r in results)
+    n = len(results)
+    error = sum(not r.correct for r in results) / n
+    taus = np.array([r.tau for r in results], dtype=float)
+    error_se = math.sqrt(law["wrong"] * (1.0 - law["wrong"]) / n)
+    tau_se = taus.std(ddof=1) / math.sqrt(n)
+    print(f"[exact K = 2, TaS, {pair}, delta = {delta}] error {error:.5f} against "
+          f"{law['wrong']:.3g} exact (z = {(error - law['wrong']) / error_se:+.2f}); mean tau "
+          f"{taus.mean():.3f} against {law['mean_tau']:.3f} (z = "
+          f"{(taus.mean() - law['mean_tau']) / tau_se:+.2f})")
+    assert abs(error - law["wrong"]) <= 4 * error_se
+    assert abs(taus.mean() - law["mean_tau"]) <= 4 * tau_se

@@ -381,6 +381,9 @@ class TestLightCommands:
     def test_light_paths_never_load_numpy(self, argv, code, stream, expected):
         done, loaded = _run_fresh_cli(argv, code)
         assert "numpy" not in loaded
+        # Environment is a plain class, and only the manifest writers import
+        # asdict, so nothing here pays for dataclasses and the inspect it loads.
+        assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
         if expected is not None:
             assert getattr(done, stream) == expected
 

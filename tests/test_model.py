@@ -1,3 +1,4 @@
+import inspect
 import json
 import pickle
 
@@ -164,9 +165,25 @@ def test_kl_table_invariants(skewed, hard_weak, degenerate):
 
 
 def test_environment_is_immutable(skewed):
-    with pytest.raises(Exception):
-        skewed.sigma = 2.0
+    for field in ("name", "means", "sigma"):
+        with pytest.raises(AttributeError):
+            setattr(skewed, field, getattr(skewed, field))
+        with pytest.raises(AttributeError):
+            delattr(skewed, field)
+    assert skewed == load_environment("skewed")
     assert not skewed.means_array.flags.writeable
+
+
+def test_environment_compares_by_its_fields_as_a_frozen_dataclass_did():
+    env = Environment("x", [[0, 1]], 2)
+    assert list(inspect.signature(Environment).parameters) == ["name", "means", "sigma"]
+    assert repr(env) == "Environment(name='x', means=((0.0, 1.0),), sigma=2.0)"
+    fields = ("x", ((0.0, 1.0),), 2.0)
+    assert env == Environment(*fields)
+    assert hash(env) == hash(Environment(*fields)) == hash(fields)
+    assert env != fields and fields != env
+    assert env != Environment("x", ((0.0, 1.0),), 1.0)
+    assert env != Environment("y", ((0.0, 1.0),), 2.0)
 
 
 def test_pickled_environment_keeps_read_only_tables(skewed):
